@@ -42,8 +42,9 @@ use crate::commands::{load_model, load_trace};
 /// default latency budget of the normal / urgent / batch lane (defaults
 /// 500 / 50 / 5000) for predicts that name no explicit `deadline_ms`, and
 /// `--est-predict-us` (default 150) is the per-prediction cost estimate
-/// behind both the deadline-hold window and the admission-control shed
-/// threshold.
+/// behind the admission-control shed threshold and its `retry_after_ms`
+/// hint. Budgets never hold a window: predicts flush as soon as the
+/// client's burst of lines is read.
 ///
 /// `--infer-f32` serves predictions through the packed f32 fast path:
 /// weights are transposed and batch norm folded once per model publish, and

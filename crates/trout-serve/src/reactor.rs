@@ -43,7 +43,7 @@ use trout_std::evloop::{poll_fds, set_nonblocking, PollFd, Waker, POLLIN, POLLOU
 
 use crate::metrics::ServeMetrics;
 use crate::router::{Flow, RouterSession};
-use crate::server::{AcceptBackoff, DEFAULT_BATCH_MAX};
+use crate::server::{configure_client, AcceptBackoff, DEFAULT_BATCH_MAX};
 use crate::shard::ShardSet;
 
 /// Write-backlog high-water mark: above this, stop reading the connection.
@@ -253,24 +253,7 @@ fn reactor_thread(
         for conn in &conns {
             fds.push(PollFd::new(conn.stream.as_raw_fd(), conn.interest()));
         }
-        // A held coalescing window bounds how long poll may sleep: wake at
-        // the earliest due instant so the flush lands on time even if no fd
-        // turns readable. The wait is *floored* to ms — a window flushes as
-        // late as its budget allows, so rounding the sleep up would
-        // overshoot the deadline by up to 1 ms and turn the hold itself
-        // into an SLO violation; flooring wakes at most 1 ms early and the
-        // deadline pass re-checks (a sub-ms zero-timeout spin at worst).
-        let mut timeout_ms = POLL_TIMEOUT_MS;
-        if conns.iter().any(|c| c.session.pending() > 0) {
-            let now = shards.clock().now_micros();
-            for conn in &conns {
-                if let Some(due) = conn.session.due_at(shards) {
-                    let wait = due.saturating_sub(now) / 1_000;
-                    timeout_ms = timeout_ms.min(wait.min(POLL_TIMEOUT_MS as u64) as i32);
-                }
-            }
-        }
-        if let Err(e) = poll_fds(&mut fds, timeout_ms) {
+        if let Err(e) = poll_fds(&mut fds, POLL_TIMEOUT_MS) {
             trout_obs::log_error!("serve", "reactor poll failed: {e}");
             metrics.record_error(&TroutError::Io(e));
             // Poll failing outright (ENOMEM, EINVAL from fd overflow) cannot
@@ -286,7 +269,7 @@ fn reactor_thread(
         let incoming: Vec<TcpStream> =
             std::mem::take(&mut *mailbox.inbox.lock().expect("inbox poisoned"));
         for stream in incoming {
-            match set_nonblocking(stream.as_raw_fd()) {
+            match set_nonblocking(stream.as_raw_fd()).and_then(|()| configure_client(&stream)) {
                 Ok(()) => conns.push(Conn::new(stream, shards.len(), batch_max)),
                 Err(e) => {
                     metrics.record_error(&TroutError::Io(e));
@@ -316,27 +299,6 @@ fn reactor_thread(
                 }
             }
             track_backpressure(conn, metrics);
-        }
-
-        // Deadline pass: flush any window whose hold time has expired on
-        // the set's clock, independent of socket readiness.
-        for conn in conns.iter_mut() {
-            if conn.dead || conn.closing || conn.session.pending() == 0 {
-                continue;
-            }
-            match conn.session.flush_if_due(shards, &mut conn.wbuf) {
-                Ok(true) => {
-                    if conn.backlog() > 0 {
-                        handle_writable(conn, metrics);
-                    }
-                    track_backpressure(conn, metrics);
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    metrics.record_error(&e);
-                    conn.dead = true;
-                }
-            }
         }
 
         let before = conns.len();
@@ -430,14 +392,11 @@ fn process_lines(conn: &mut Conn, shards: &ShardSet, metrics: &ServeMetrics) {
         }
     }
     conn.rbuf.drain(..consumed);
-    // No more complete lines: the client is waiting. Windows holding any
-    // v1 predict (or a resolved shed) are due immediately — the PR 6
-    // flush-on-drain heuristic those clients were built against. A pure-v2
-    // window instead holds for its deadline (`due_at`), letting the batch
-    // former keep coalescing; the reactor loop's due-flush pass and its
-    // deadline-derived poll timeout guarantee the flush happens on time.
-    if !conn.dead && !conn.closing && conn.session.pending() > 0 {
-        if let Err(e) = conn.session.flush_if_due(shards, &mut conn.wbuf) {
+    // No more complete lines: the client is waiting, so the window is due.
+    // Lines that arrive while this flush runs wait in the socket and form
+    // the next window, so batching still grows with load.
+    if !conn.dead && !conn.closing {
+        if let Err(e) = conn.session.flush(shards, &mut conn.wbuf) {
             metrics.record_error(&e);
             conn.dead = true;
         }

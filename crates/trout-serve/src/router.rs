@@ -13,12 +13,13 @@
 //! [`AdmissionControl`](crate::scheduler::AdmissionControl) on arrival — a
 //! shed becomes a pre-resolved window slot answered with a typed
 //! `overloaded` + `retry_after_ms` *at flush time*, preserving strict
-//! request-order responses. Admitted predicts carry their latency budget;
-//! [`RouterSession::due_at`] tells deadline-aware transports (the reactor)
-//! how long the window may keep coalescing before the tightest deadline,
-//! minus the estimated drain time, forces a flush. At flush, each shard's
-//! batch executes in (priority-lane rank, arrival) order — urgent first —
-//! which is byte-safe because inference is row-independent.
+//! request-order responses. Admitted predicts carry their latency budget,
+//! which drives admission, SLO-violation and burn accounting but never
+//! holds the window: every transport flushes as soon as the client's read
+//! burst drains ([`RouterSession::due_at`] is immediate whenever anything
+//! is pending). At flush, each shard's batch executes in (priority-lane
+//! rank, arrival) order — urgent first — which is byte-safe because
+//! inference is row-independent.
 //!
 //! Lifecycle events broadcast to every shard in shard order (see the
 //! [`shard`](crate::shard) module docs for why). The response comes from
@@ -134,8 +135,7 @@ enum Slot {
 }
 
 /// Per-client routing state: per-shard predict queues, the coalescing
-/// window position counter, pre-resolved shed slots, and the tightest
-/// deadline currently queued.
+/// window position counter, and pre-resolved shed slots.
 pub struct RouterSession {
     per_shard: Vec<Vec<QueuedPredict>>,
     /// Window positions issued (admitted + shed) — the response count a
@@ -146,11 +146,6 @@ pub struct RouterSession {
     /// Pre-resolved shed positions: `(pos, retry_after_ms)`.
     shed: Vec<(usize, u64)>,
     batch_max: usize,
-    /// Earliest absolute deadline (µs) among queued predicts.
-    min_deadline_us: u64,
-    /// Whether any queued predict came from a v1 client. v1 clients predate
-    /// deadline-holding, so their windows stay due-on-drain (PR 6 timing).
-    has_v1: bool,
     /// Hermetic per-session trace-id stream (DESIGN §14).
     rng: SplitMix64,
     /// One flight-recorder dump per session per trigger class, so a
@@ -169,8 +164,6 @@ impl RouterSession {
             queued: 0,
             shed: Vec::new(),
             batch_max: batch_max.max(1),
-            min_deadline_us: u64::MAX,
-            has_v1: false,
             rng: SplitMix64::new(TRACE_ID_SEED),
             shed_dumped: false,
             protocol_dumped: false,
@@ -188,36 +181,28 @@ impl RouterSession {
     }
 
     /// The absolute instant (µs on the set's clock) the current window must
-    /// flush: the tightest queued deadline minus the estimated time to
-    /// drain the queue, so the last prediction still lands inside its
-    /// budget. `None` when nothing is pending. Windows holding a shed (owed
-    /// an answer now) or any v1 predict (pre-deadline clients keep PR 6
-    /// flush-on-drain timing) are due immediately.
-    pub fn due_at(&self, shards: &ShardSet) -> Option<u64> {
-        if self.window == 0 {
-            return None;
-        }
-        if !self.shed.is_empty() || self.has_v1 {
-            return Some(0);
-        }
-        let drain = (self.queued as u64).saturating_mul(shards.scheduler().est_predict_us);
-        Some(self.min_deadline_us.saturating_sub(drain))
+    /// flush, or `None` when nothing is pending. Every window is due at once
+    /// (`Some(0)`): a transport flushes when the client's read burst drains,
+    /// and lines that arrive while a flush runs wait in the socket and form
+    /// the next window (up to the batch cap). Holding a window for its
+    /// deadline would only add latency at low load, where no further lines
+    /// come to share the batch.
+    pub fn due_at(&self, _shards: &ShardSet) -> Option<u64> {
+        (self.window > 0).then_some(0)
     }
 
-    /// Flushes when [`RouterSession::due_at`] has arrived on the set's
-    /// clock. Returns whether a flush happened.
+    /// Flushes the window if anything is pending (it is always due, see
+    /// [`RouterSession::due_at`]). Returns whether a flush happened.
     pub fn flush_if_due<W: Write>(
         &mut self,
         shards: &ShardSet,
         out: &mut W,
     ) -> Result<bool, TroutError> {
-        match self.due_at(shards) {
-            Some(t) if shards.clock().now_micros() >= t => {
-                self.flush(shards, out)?;
-                Ok(true)
-            }
-            _ => Ok(false),
+        if self.window == 0 {
+            return Ok(false);
         }
+        self.flush(shards, out)?;
+        Ok(true)
     }
 
     /// Handles one non-empty request line: queues a predict (flushing at the
@@ -273,9 +258,6 @@ impl RouterSession {
                             trace_id: if trace { self.rng.next_u64() } else { 0 },
                             parse_us: now.saturating_sub(accept_us),
                         });
-                        self.min_deadline_us =
-                            self.min_deadline_us.min(now.saturating_add(budget_us));
-                        self.has_v1 |= !v2;
                         self.window += 1;
                         self.queued += 1;
                         if self.queued >= self.batch_max {
@@ -496,8 +478,6 @@ impl RouterSession {
         }
         self.window = 0;
         self.queued = 0;
-        self.min_deadline_us = u64::MAX;
-        self.has_v1 = false;
         Ok(())
     }
 }

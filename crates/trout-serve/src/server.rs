@@ -25,8 +25,8 @@
 //! (`ECONNABORTED`, …) skip just that connection, and anything else is a
 //! broken listener and fatal.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -172,6 +172,13 @@ impl AcceptBackoff {
     }
 }
 
+/// Socket options every accepted client connection gets, on both TCP
+/// transports: `TCP_NODELAY`, so a flushed response leaves at once instead
+/// of waiting (Nagle's algorithm) for the ACK of the previous one.
+pub(crate) fn configure_client(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nodelay(true)
+}
+
 /// Runs one client session to completion (EOF or `shutdown`). Returns the
 /// number of request lines handled.
 pub fn run_session<R: Read, W: Write>(
@@ -210,10 +217,8 @@ pub fn run_session<R: Read, W: Write>(
         }
         // Flush pending window positions (queued predicts and resolved
         // sheds) when the client has nothing further buffered and is
-        // presumably waiting on the answers. The blocking transports stay
-        // due-on-drain for every request — deadline-holding is the
-        // reactor's refinement (DESIGN §12) — so v1 pipe clients see
-        // exactly the PR 6 flush timing.
+        // presumably waiting on the answers — the same drain rule the
+        // reactor applies (DESIGN §12).
         if session.pending() > 0 && reader.buffer().is_empty() {
             session.flush(shards, &mut out)?;
         }
@@ -286,10 +291,16 @@ pub fn run_tcp(
         reap_finished(&mut handles);
         let session_shards = Arc::clone(&shards);
         handles.push(std::thread::spawn(move || {
-            let result = stream
-                .try_clone()
+            let result = configure_client(&stream)
+                .and_then(|()| stream.try_clone())
                 .map_err(TroutError::from)
-                .and_then(|reader| run_session(&session_shards, reader, stream, batch_max));
+                .and_then(|reader| {
+                    // Buffered: with Nagle off, each response line would
+                    // otherwise leave as its own segment. `run_session`
+                    // flushes whenever no window is pending.
+                    let out = BufWriter::new(stream);
+                    run_session(&session_shards, reader, out, batch_max)
+                });
             if let Err(e) = &result {
                 // The session is this error's only observer — record it
                 // before the thread (and the error) disappears.
@@ -411,6 +422,16 @@ mod tests {
         assert!(!b.ceiling_warned);
         let crossed_again = (0..100).any(|_| b.note_backoff().1);
         assert!(crossed_again, "a fresh streak can cross the ceiling again");
+    }
+
+    #[test]
+    fn accepted_client_sockets_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "kernel default is Nagle on");
+        configure_client(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
     }
 
     #[test]

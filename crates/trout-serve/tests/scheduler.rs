@@ -1,18 +1,18 @@
 //! Deterministic battery for the v2 scheduling layer (DESIGN §12):
-//! deadline-held coalescing windows, priority-lane flush order, admission
+//! flush-on-drain coalescing windows, priority-lane flush order, admission
 //! control, and the v1 compatibility contract.
 //!
 //! Every test drives the same [`RouterSession`] the transports use, against
 //! a [`ShardSet`] whose clock is a [`ManualClock`] — time moves only when a
-//! test says so, which makes hold/flush decisions (and therefore response
-//! byte streams) reproducible on any machine at any load.
+//! test says so, which makes flush and admission decisions (and therefore
+//! response byte streams) reproducible on any machine at any load.
 
 use std::sync::Arc;
 
 use trout_serve::protocol::submit_line;
 use trout_serve::{run_session, RouterSession, SchedulerConfig, ServeConfig, ShardSet};
 use trout_slurmsim::{JobRecord, SimulationBuilder};
-use trout_std::clock::ManualClock;
+use trout_std::clock::{Clock, ManualClock};
 use trout_std::json::Json;
 use trout_std::rng::SplitMix64;
 
@@ -61,80 +61,75 @@ fn v1_predict(id: u64, time: i64) -> String {
     format!("{{\"event\":\"predict\",\"id\":{id},\"time\":{time}}}")
 }
 
+/// Every kind of window is due the moment it is non-empty — a pure-v2
+/// window with slack deadlines, a v1 window, and a window holding a shed —
+/// without the clock moving at all, and each flushes its responses in
+/// request order. (Latency budgets drive admission and SLO accounting; they
+/// never hold a window.)
 #[test]
-fn pure_v2_window_holds_until_the_deadline_forces_a_flush() {
-    let (set, clock, recs) = manual_set(1, SchedulerConfig::default());
+fn every_window_is_due_on_drain_without_the_clock_moving() {
+    let (set, clock, recs) = manual_set(1, tight_sched());
+    let start = clock.now_micros();
     let mut session = RouterSession::new(set.len(), 64);
-    let mut out = Vec::new();
     let t = recs[0].submit_time;
-    session
-        .handle_line(
-            &set,
-            &v2_predict(recs[0].id, t, "normal", Some(200)),
-            &mut out,
-        )
-        .unwrap();
-    session
-        .handle_line(
-            &set,
-            &v2_predict(recs[1].id, t, "normal", Some(500)),
-            &mut out,
-        )
-        .unwrap();
-    assert_eq!(session.pending(), 2);
-    // Tightest deadline is 200 ms out, minus the 2-query drain estimate
-    // (2 × est_predict_us): the window is due at 1_000_000 + 200_000 − 300.
-    assert_eq!(
-        session.due_at(&set),
-        Some(1_000_000 + 200_000 - 2 * set.scheduler().est_predict_us)
-    );
-    assert!(!session.flush_if_due(&set, &mut out).unwrap());
-    clock.advance(100_000);
-    assert!(
-        !session.flush_if_due(&set, &mut out).unwrap(),
-        "100 ms into a 200 ms budget the window keeps coalescing"
-    );
-    assert!(out.is_empty(), "no responses before the flush");
-    clock.advance(100_000);
-    assert!(session.flush_if_due(&set, &mut out).unwrap());
-    let text = String::from_utf8(out).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2);
-    assert!(lines[0].contains(&format!("\"id\":{}", recs[0].id)));
-    assert!(lines[1].contains(&format!("\"id\":{}", recs[1].id)));
-    assert!(
-        lines[0].contains("\"lane\":\"normal\""),
-        "v2 responses echo the lane: {}",
-        lines[0]
-    );
-    assert_eq!(session.pending(), 0);
-}
-
-#[test]
-fn any_v1_predict_makes_the_window_due_immediately() {
-    let (set, _clock, recs) = manual_set(1, SchedulerConfig::default());
-    let mut session = RouterSession::new(set.len(), 64);
-    let mut out = Vec::new();
-    let t = recs[0].submit_time;
-    session
-        .handle_line(
-            &set,
-            &v2_predict(recs[0].id, t, "normal", Some(500)),
-            &mut out,
-        )
-        .unwrap();
-    assert_ne!(session.due_at(&set), Some(0), "pure v2 window is held");
-    session
-        .handle_line(&set, &v1_predict(recs[1].id, t), &mut out)
-        .unwrap();
-    assert_eq!(
-        session.due_at(&set),
-        Some(0),
-        "a v1 client predates deadline-holding; its window flushes on drain"
-    );
-    assert!(session.flush_if_due(&set, &mut out).unwrap());
-    let text = String::from_utf8(out).unwrap();
-    assert_eq!(text.lines().count(), 2);
+    // (request lines, whether each one is answered with a prediction)
+    let windows: [(&str, Vec<(String, bool)>); 3] = [
+        (
+            "pure v2",
+            vec![
+                (v2_predict(recs[0].id, t, "normal", Some(600_000)), true),
+                (v2_predict(recs[1].id, t, "urgent", Some(600_000)), true),
+            ],
+        ),
+        (
+            "v1",
+            vec![
+                (v1_predict(recs[2].id, t), true),
+                (v1_predict(recs[3].id, t), true),
+            ],
+        ),
+        (
+            // The tight scheduler admits two normal predicts; the third is
+            // shed and still owns its position.
+            "shed",
+            vec![
+                (v2_predict(recs[4].id, t, "normal", None), true),
+                (v2_predict(recs[5].id, t, "normal", None), true),
+                (v2_predict(recs[6].id, t, "normal", None), false),
+            ],
+        ),
+    ];
+    for (name, lines) in &windows {
+        let mut out = Vec::new();
+        assert_eq!(session.due_at(&set), None, "{name}: nothing pending yet");
+        for (line, _) in lines {
+            session.handle_line(&set, line, &mut out).unwrap();
+        }
+        assert!(out.is_empty(), "{name}: no response before the flush");
+        assert_eq!(session.pending(), lines.len());
+        assert_eq!(
+            session.due_at(&set),
+            Some(0),
+            "{name} window is due at once"
+        );
+        assert!(session.flush_if_due(&set, &mut out).unwrap(), "{name}");
+        assert_eq!(session.pending(), 0);
+        let text = String::from_utf8(out).unwrap();
+        let got: Vec<&str> = text.lines().collect();
+        assert_eq!(got.len(), lines.len(), "{name}: one response per request");
+        for ((line, answered), resp) in lines.iter().zip(&got) {
+            if *answered {
+                let id = Json::parse(line).unwrap().get("id").cloned().unwrap();
+                assert!(
+                    resp.contains("\"ok\":true") && resp.contains(&format!("\"id\":{id}")),
+                    "{name}: response out of request order: {resp}"
+                );
+            } else {
+                assert!(resp.contains("overloaded"), "{name}: shed slot: {resp}");
+            }
+        }
+    }
+    assert_eq!(clock.now_micros(), start, "no test step moved the clock");
 }
 
 #[test]

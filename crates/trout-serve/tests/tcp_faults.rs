@@ -6,7 +6,8 @@
 //! reactor (where all faulty connections share ONE reactor thread). Also
 //! the regression guard for the session JoinHandle leak: a daemon serving
 //! many sequential clients must reap finished session threads instead of
-//! accumulating one handle per connection forever.
+//! accumulating one handle per connection forever, and the guard that a
+//! reactor answers a lone predict without holding it for its deadline.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -513,4 +514,45 @@ fn slow_loris_reader_is_backpressured_without_starving_others() {
         "every unknown-id predict was answered with a protocol error ({by:?})"
     );
     assert_eq!(m.sessions_live.get(), 0.0);
+}
+
+/// A lone v2 predict with a ten-minute deadline, and nothing sent after it,
+/// is answered as soon as the reactor has read it: a window is due when the
+/// read burst drains, never held until its deadline nears. The 30 s read
+/// timeout is loose enough that scheduling noise cannot trip it; holding
+/// the window for its deadline would stall the answer for ~10 minutes.
+#[test]
+fn reactor_answers_a_lone_slack_deadline_predict_without_holding_it() {
+    let (addr, server, _shared) = spawn_reactor(2, 1);
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let mut line = String::new();
+
+    let job = "{\"event\":\"submit\",\"job\":{\"id\":9001,\"user\":7,\"partition\":0,\
+               \"submit_time\":1000,\"req_cpus\":8,\"req_mem_gb\":16,\"req_nodes\":1,\
+               \"timelimit_min\":30}}\n";
+    conn.write_all(job.as_bytes()).unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\":true"), "submit acked: {line}");
+
+    conn.write_all(
+        b"{\"v\":2,\"event\":\"predict\",\"id\":9001,\"time\":1200,\
+          \"lane\":\"normal\",\"deadline_ms\":600000}\n",
+    )
+    .unwrap();
+    line.clear();
+    reader
+        .read_line(&mut line)
+        .expect("the predict is answered well before its deadline");
+    let pred = Json::parse(&line).unwrap();
+    assert_eq!(pred.get("ok"), Some(&Json::Bool(true)), "{line}");
+    assert_eq!(pred.get("id"), Some(&Json::Int(9001)), "{line}");
+
+    conn.write_all(b"{\"event\":\"shutdown\"}\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"event\":\"shutdown\""), "{line}");
+    server.join().unwrap();
 }

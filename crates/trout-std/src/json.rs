@@ -63,6 +63,7 @@ impl Json {
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -209,7 +210,25 @@ fn write_string(s: &str, out: &mut String) {
 
 const MAX_DEPTH: usize = 128;
 
+#[cfg(test)]
+thread_local! {
+    /// Input bytes the string scanner has examined on this thread: the
+    /// linearity guard's measure of parse work (test builds only).
+    static EXAMINED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Records `n` input bytes examined by the string scanner (a no-op outside
+/// test builds).
+#[inline(always)]
+fn note_examined(_n: usize) {
+    #[cfg(test)]
+    EXAMINED.with(|c| c.set(c.get() + _n));
+}
+
 struct Parser<'a> {
+    /// The document; `bytes` is its byte view. Slicing `text` at ASCII
+    /// delimiters needs no UTF-8 re-validation.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -354,8 +373,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::new("invalid utf-8 in number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i128>() {
                 return Ok(Json::Int(i));
@@ -370,58 +388,55 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(JsonError::new("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+            // Copy the run up to the next quote or backslash as one slice.
+            // Both delimiters are ASCII, so the run ends on a char boundary
+            // of the already-valid input: each byte is examined once.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\');
+            note_examined(run.map_or(self.bytes.len() - self.pos, |n| n + 1));
+            let Some(run) = run else {
+                return Err(JsonError::new("unterminated string"));
+            };
+            let end = self.pos + run;
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end + 1;
+            if self.bytes[end] == b'"' {
+                return Ok(out);
+            }
+            let esc = self
+                .peek()
+                .ok_or_else(|| JsonError::new("unterminated escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hi = self.hex4()?;
+                    let c = if (0xD800..0xDC00).contains(&hi) {
+                        // Surrogate pair.
+                        self.eat(b'\\')?;
+                        self.eat(b'u')?;
+                        let lo = self.hex4()?;
+                        let combined =
+                            0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00) & 0x3FF);
+                        char::from_u32(combined)
+                    } else {
+                        char::from_u32(hi)
+                    };
+                    out.push(c.ok_or_else(|| JsonError::new("invalid \\u escape"))?);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| JsonError::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                self.eat(b'\\')?;
-                                self.eat(b'u')?;
-                                let lo = self.hex4()?;
-                                let combined = 0x10000
-                                    + ((hi - 0xD800) << 10)
-                                    + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                char::from_u32(combined)
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            out.push(c.ok_or_else(|| JsonError::new("invalid \\u escape"))?);
-                        }
-                        other => {
-                            return Err(JsonError::new(format!(
-                                "invalid escape '\\{}'",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::new("invalid utf-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                other => {
+                    return Err(JsonError::new(format!(
+                        "invalid escape '\\{}'",
+                        other as char
+                    )))
                 }
             }
         }
@@ -808,6 +823,112 @@ mod tests {
         assert_eq!(v.remove("a"), Some(Json::Int(1)));
         assert_eq!(v.get("a"), None);
         assert_eq!(v.to_string(), r#"{"b":2}"#);
+    }
+
+    /// Characters that stress the string scanner: delimiters, escapes,
+    /// control characters, multi-byte and astral (surrogate-pair) code
+    /// points.
+    const TRICKY: &str =
+        "\"\\/\n\r\t\u{0}\u{8}\u{c}\u{1f}éß€中\u{2028}\u{fffd}\u{e000}😀𝄞\u{10ffff}";
+
+    /// Maps `(kind, raw)` draws to a char: a tricky one, an arbitrary
+    /// scalar value, plain ASCII, or an astral-plane char.
+    fn char_of((kind, raw): (u64, u64)) -> char {
+        let raw = raw as u32;
+        match kind {
+            0 => {
+                let n = TRICKY.chars().count();
+                TRICKY.chars().nth(raw as usize % n).unwrap()
+            }
+            1 => char::from_u32(raw % 0x11_0000).unwrap_or('\u{fffd}'),
+            2 => char::from(b' ' + (raw % 95) as u8),
+            _ => char::from_u32(0x1_0000 + raw % 0x10_0000).unwrap(),
+        }
+    }
+
+    /// Encodes every char of `s` as a `\uXXXX` escape (astral chars as a
+    /// surrogate pair), alternating hex-digit case.
+    fn escape_all(s: &str) -> String {
+        let mut out = String::from("\"");
+        let mut units = [0u16; 2];
+        for (k, c) in s.chars().enumerate() {
+            for unit in c.encode_utf16(&mut units) {
+                if k % 2 == 0 {
+                    out.push_str(&format!("\\u{unit:04x}"));
+                } else {
+                    out.push_str(&format!("\\u{unit:04X}"));
+                }
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    crate::proptest_lite! {
+        // Strings survive the writer → parser round trip, and the
+        // all-escaped spelling (surrogate pairs included) parses to the
+        // same value, also as object keys inside nested containers.
+        #[cases(300)]
+        fn unicode_and_escape_heavy_strings_round_trip(
+            draws in crate::proptest_lite::vec_of((0u64..4, 0u64..u64::MAX), 0..80),
+            depth in 0u64..40
+        ) {
+            let s: String = draws.iter().copied().map(char_of).collect();
+            let direct = Json::Str(s.clone()).to_string();
+            crate::prop_assert_eq!(Json::parse(&direct), Ok(Json::Str(s.clone())));
+            let escaped = escape_all(&s);
+            crate::prop_assert_eq!(Json::parse(&escaped), Ok(Json::Str(s.clone())));
+
+            let mut doc = format!("{{{escaped}:[{direct},{escaped}]}}");
+            let mut want = Json::Obj(vec![(
+                s.clone(),
+                Json::Arr(vec![Json::Str(s.clone()), Json::Str(s.clone())]),
+            )]);
+            for _ in 0..depth {
+                doc = format!("[{doc},{direct}]");
+                want = Json::Arr(vec![want, Json::Str(s.clone())]);
+            }
+            let parsed = Json::parse(&doc);
+            crate::prop_assert_eq!(parsed.as_ref(), Ok(&want));
+            crate::prop_assert_eq!(Json::parse(&want.to_string()), Ok(want));
+        }
+    }
+
+    /// Bytes the string scanner examines while parsing `doc`.
+    fn examined_by(doc: &str) -> usize {
+        EXAMINED.with(|c| c.set(0));
+        Json::parse(doc).unwrap();
+        EXAMINED.with(|c| c.get())
+    }
+
+    #[test]
+    fn string_parsing_examines_each_byte_a_bounded_number_of_times() {
+        // A snapshot-shaped document: many members whose keys and values
+        // are long, unicode-heavy, escape-sprinkled strings. Re-validating
+        // the rest of the document per character (the old scanner) grows
+        // as size × string bytes; the guard allows a constant per byte.
+        let member = |k: usize| {
+            let text = format!(
+                "jöb-{k} ☃ \\\"quoted\\\" \\u00e9\\ud83d\\ude00 {}",
+                "x".repeat(40)
+            );
+            format!("\"{text}\":[\"{text}\",{k}]")
+        };
+        for n in [10usize, 100, 1_000, 4_000] {
+            let doc = format!("{{{}}}", (0..n).map(member).collect::<Vec<_>>().join(","));
+            let examined = examined_by(&doc);
+            assert!(examined > 0);
+            assert!(
+                examined <= 2 * doc.len(),
+                "{n} members: examined {examined} bytes of a {}-byte document",
+                doc.len()
+            );
+        }
+        // An unterminated string is rejected after one pass over it.
+        let open = format!("\"{}", "é".repeat(50_000));
+        EXAMINED.with(|c| c.set(0));
+        assert!(Json::parse(&open).is_err());
+        assert!(EXAMINED.with(|c| c.get()) <= open.len());
     }
 
     #[test]
