@@ -28,6 +28,32 @@ use trout_slurmsim::SimulationBuilder;
 use trout_std::bench::{write_report, Criterion};
 use trout_std::json::Json;
 
+/// What the recorded times depend on besides the code: core count, SIMD
+/// tier, the `TROUT_THREADS` setting and the compiler.
+fn host_stamp() -> Json {
+    let nproc = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let rustc = std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    Json::Obj(vec![
+        ("nproc".into(), Json::Int(nproc as i128)),
+        (
+            "simd_tier".into(),
+            Json::Str(trout_linalg::SimdTier::active().name().into()),
+        ),
+        (
+            "trout_threads".into(),
+            Json::Str(std::env::var("TROUT_THREADS").unwrap_or_else(|_| "unset".into())),
+        ),
+        ("rustc".into(), Json::Str(rustc)),
+    ])
+}
+
 fn bench_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
         .join("trout_recover_bench")
@@ -216,6 +242,7 @@ pub fn bench_recover(c: &mut Criterion) {
     if !smoke {
         let report = Json::Obj(vec![
             ("group".into(), Json::Str("recover".into())),
+            ("host".into(), host_stamp()),
             (
                 "served".into(),
                 Json::Obj(vec![

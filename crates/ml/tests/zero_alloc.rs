@@ -24,6 +24,10 @@ use trout_std::rng::SplitMix64;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
+/// The allocation counter is process-wide: the tests in this binary take
+/// turns so one's set-up never lands in another's counted region.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Deterministic toy regression data, sized so every matmul in the network
 /// stays under the parallel threshold (max product — the full-batch predict
 /// through the first layer — is 128 * 16 * 24 = 49152 < 65536).
@@ -61,6 +65,7 @@ fn spanned_work() {
 
 #[test]
 fn warmed_obs_recording_does_not_allocate() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // First hits initialize the per-call-site statics and register the
     // metrics (a lock plus a handful of allocations, once per name).
     spanned_work();
@@ -89,6 +94,7 @@ fn warmed_obs_recording_does_not_allocate() {
 
 #[test]
 fn steady_state_training_and_inference_do_not_allocate() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Pin to one thread for determinism; the sizes above keep the kernels
     // serial anyway, so the env var is never re-read inside the hot loop.
     std::env::set_var("TROUT_THREADS", "1");

@@ -31,11 +31,25 @@ pub enum QueueEstimate {
 impl QueueEstimate {
     /// The user-facing message of Algorithm 1.
     pub fn message(&self, cutoff_min: f32) -> String {
+        let mut s = String::new();
+        self.write_message(cutoff_min, &mut s)
+            .expect("writing to a String cannot fail");
+        s
+    }
+
+    /// Writes [`QueueEstimate::message`] into `out` without allocating.
+    /// The text is plain ASCII, so it needs no escaping inside a JSON
+    /// string.
+    pub fn write_message<W: std::fmt::Write + ?Sized>(
+        &self,
+        cutoff_min: f32,
+        out: &mut W,
+    ) -> std::fmt::Result {
         match self {
             QueueEstimate::QuickStart => {
-                format!("Predicted to take less than {cutoff_min:.0} minutes")
+                write!(out, "Predicted to take less than {cutoff_min:.0} minutes")
             }
-            QueueEstimate::Minutes(m) => format!("Predicted to start in {m:.0} minutes"),
+            QueueEstimate::Minutes(m) => write!(out, "Predicted to start in {m:.0} minutes"),
         }
     }
 

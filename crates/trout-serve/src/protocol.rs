@@ -34,9 +34,12 @@
 //! additionally carries a numeric `"retry_after_ms"`). A malformed line is
 //! answered (not fatal): the daemon must survive a misbehaving client.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
 use trout_core::{Lane, QueueEstimate, QueuePrediction, TroutError};
 use trout_slurmsim::{JobRecord, JobState};
-use trout_std::json::Json;
+use trout_std::json::{write_number, ByteWriter, Json, JsonError, JsonRef, Members, Number};
 use trout_workload::Qos;
 
 /// One parsed request line.
@@ -117,10 +120,10 @@ pub enum MetricsFormat {
 /// Default `last` for a `{"event":"trace"}` request without the field.
 pub const DEFAULT_TRACE_LAST: usize = 32;
 
-fn field_i64(j: &Json, key: &str) -> Result<i64, TroutError> {
-    match j.get(key) {
-        Some(Json::Int(v)) => {
-            i64::try_from(*v).map_err(|_| TroutError::Parse(format!("field `{key}` out of range")))
+fn field_i64(v: Option<JsonRef>, key: &str) -> Result<i64, TroutError> {
+    match v {
+        Some(JsonRef::Int(v)) => {
+            i64::try_from(v).map_err(|_| TroutError::Parse(format!("field `{key}` out of range")))
         }
         Some(_) => Err(TroutError::Parse(format!(
             "field `{key}` must be an integer"
@@ -129,101 +132,148 @@ fn field_i64(j: &Json, key: &str) -> Result<i64, TroutError> {
     }
 }
 
-fn field_u64(j: &Json, key: &str) -> Result<u64, TroutError> {
-    let v = field_i64(j, key)?;
+fn field_u64(v: Option<JsonRef>, key: &str) -> Result<u64, TroutError> {
+    let v = field_i64(v, key)?;
     u64::try_from(v).map_err(|_| TroutError::Parse(format!("field `{key}` must be non-negative")))
 }
 
-fn field_u32(j: &Json, key: &str) -> Result<u32, TroutError> {
-    let v = field_i64(j, key)?;
+fn field_u32(v: Option<JsonRef>, key: &str) -> Result<u32, TroutError> {
+    let v = field_i64(v, key)?;
     u32::try_from(v).map_err(|_| TroutError::Parse(format!("field `{key}` out of u32 range")))
 }
 
-fn field_f64_or(j: &Json, key: &str, default: f64) -> Result<f64, TroutError> {
-    match j.get(key) {
-        Some(Json::Num(v)) => Ok(*v),
-        Some(Json::Int(v)) => Ok(*v as f64),
+fn field_f64_or(v: Option<JsonRef>, key: &str, default: f64) -> Result<f64, TroutError> {
+    match v {
+        Some(JsonRef::Num(v)) => Ok(v),
+        Some(JsonRef::Int(v)) => Ok(v as f64),
         Some(_) => Err(TroutError::Parse(format!("field `{key}` must be a number"))),
         None => Ok(default),
     }
 }
 
 fn parse_job(j: &Json) -> Result<JobRecord, TroutError> {
-    let qos = match j.get("qos") {
+    let get = |key: &str| j.get(key).map(JsonRef::from);
+    let qos = match get("qos") {
         None => Qos::Normal,
-        Some(Json::Str(s)) => {
-            Qos::parse(s).ok_or_else(|| TroutError::Parse(format!("unknown qos `{s}`")))?
+        Some(JsonRef::Str(s)) => {
+            Qos::parse(&s).ok_or_else(|| TroutError::Parse(format!("unknown qos `{s}`")))?
         }
         Some(_) => return Err(TroutError::Parse("field `qos` must be a string".into())),
     };
-    let submit_time = field_i64(j, "submit_time")?;
+    let submit_time = field_i64(get("submit_time"), "submit_time")?;
     Ok(JobRecord {
-        id: field_u64(j, "id")?,
-        user: field_u32(j, "user")?,
-        partition: field_u32(j, "partition")?,
+        id: field_u64(get("id"), "id")?,
+        user: field_u32(get("user"), "user")?,
+        partition: field_u32(get("partition"), "partition")?,
         submit_time,
-        eligible_time: match j.get("eligible_time") {
-            Some(_) => field_i64(j, "eligible_time")?,
+        eligible_time: match get("eligible_time") {
+            Some(v) => field_i64(Some(v), "eligible_time")?,
             None => submit_time,
         },
         // Unknown for a live job; the engine replaces them with open-ended
         // sentinels as the lifecycle events arrive.
         start_time: 0,
         end_time: 0,
-        req_cpus: field_u32(j, "req_cpus")?,
-        req_mem_gb: field_u32(j, "req_mem_gb")?,
-        req_nodes: field_u32(j, "req_nodes")?,
-        req_gpus: match j.get("req_gpus") {
-            Some(_) => field_u32(j, "req_gpus")?,
+        req_cpus: field_u32(get("req_cpus"), "req_cpus")?,
+        req_mem_gb: field_u32(get("req_mem_gb"), "req_mem_gb")?,
+        req_nodes: field_u32(get("req_nodes"), "req_nodes")?,
+        req_gpus: match get("req_gpus") {
+            Some(v) => field_u32(Some(v), "req_gpus")?,
             None => 0,
         },
-        timelimit_min: field_u32(j, "timelimit_min")?,
+        timelimit_min: field_u32(get("timelimit_min"), "timelimit_min")?,
         qos,
-        campaign: match j.get("campaign") {
-            Some(_) => field_u64(j, "campaign")?,
+        campaign: match get("campaign") {
+            Some(v) => field_u64(Some(v), "campaign")?,
             None => 0,
         },
-        priority: field_f64_or(j, "priority", 0.0)?,
+        priority: field_f64_or(get("priority"), "priority", 0.0)?,
         state: JobState::Completed,
     })
 }
 
-/// Parses one request line.
+/// The members of a request line that some event reads. The whole line is
+/// read (and its JSON checked) before any member is interpreted, so a
+/// malformed line is a `parse` error whatever its members say. The first
+/// occurrence of a duplicate key wins, as [`Json::get`] would have it;
+/// other keys are checked and skipped.
+#[derive(Default)]
+struct Envelope<'a> {
+    event: Option<JsonRef<'a>>,
+    v: Option<JsonRef<'a>>,
+    id: Option<JsonRef<'a>>,
+    time: Option<JsonRef<'a>>,
+    lane: Option<JsonRef<'a>>,
+    deadline_ms: Option<JsonRef<'a>>,
+    trace: Option<JsonRef<'a>>,
+    format: Option<JsonRef<'a>>,
+    last: Option<JsonRef<'a>>,
+    job: Option<JsonRef<'a>>,
+}
+
+impl<'a> Envelope<'a> {
+    fn read(line: &'a str) -> Result<Envelope<'a>, JsonError> {
+        let mut env = Envelope::default();
+        let mut members = Members::new(line)?;
+        while let Some((key, value)) = members.next_member()? {
+            let slot = match &*key {
+                "event" => &mut env.event,
+                "v" => &mut env.v,
+                "id" => &mut env.id,
+                "time" => &mut env.time,
+                "lane" => &mut env.lane,
+                "deadline_ms" => &mut env.deadline_ms,
+                "trace" => &mut env.trace,
+                "format" => &mut env.format,
+                "last" => &mut env.last,
+                "job" => &mut env.job,
+                _ => continue,
+            };
+            if slot.is_none() {
+                *slot = Some(value);
+            }
+        }
+        Ok(env)
+    }
+}
+
+/// Parses one request line. Reads the line in place: a predict (or any
+/// other envelope) builds no `Json` tree; only a submit's `job` does.
 pub fn parse_event(line: &str) -> Result<ClientEvent, TroutError> {
-    let j = Json::parse(line).map_err(|e| TroutError::Parse(e.to_string()))?;
-    let kind = match j.get("event") {
-        Some(Json::Str(s)) => s.clone(),
+    let env = Envelope::read(line).map_err(|e| TroutError::Parse(e.to_string()))?;
+    let kind = match env.event {
+        Some(JsonRef::Str(s)) => s,
         _ => return Err(TroutError::Protocol("missing `event` tag".into())),
     };
-    match kind.as_str() {
+    match &*kind {
         "submit" => {
-            let job = j
-                .get("job")
+            let job = env
+                .job
                 .ok_or_else(|| TroutError::Protocol("submit: missing `job` object".into()))?;
-            Ok(ClientEvent::Submit(Box::new(parse_job(job)?)))
+            Ok(ClientEvent::Submit(Box::new(parse_job(&job.into_json())?)))
         }
         "start" => Ok(ClientEvent::Start {
-            id: field_u64(&j, "id")?,
-            time: field_i64(&j, "time")?,
+            id: field_u64(env.id, "id")?,
+            time: field_i64(env.time, "time")?,
         }),
         "end" => Ok(ClientEvent::End {
-            id: field_u64(&j, "id")?,
-            time: field_i64(&j, "time")?,
+            id: field_u64(env.id, "id")?,
+            time: field_i64(env.time, "time")?,
         }),
         "predict" => {
-            let v2 = match j.get("v") {
-                None => false,
-                Some(Json::Int(1)) => false,
-                Some(Json::Int(2)) => true,
+            let v2 = match env.v {
+                None | Some(JsonRef::Int(1)) => false,
+                Some(JsonRef::Int(2)) => true,
                 Some(other) => {
                     return Err(TroutError::Protocol(format!(
-                        "unsupported protocol version {other} (expected 1 or 2)"
+                        "unsupported protocol version {} (expected 1 or 2)",
+                        other.into_json()
                     )))
                 }
             };
-            let lane = match j.get("lane") {
+            let lane = match env.lane {
                 None => Lane::Normal,
-                Some(Json::Str(s)) => Lane::parse(s).ok_or_else(|| {
+                Some(JsonRef::Str(s)) => Lane::parse(&s).ok_or_else(|| {
                     TroutError::Protocol(format!(
                         "unknown lane `{s}` (expected urgent, normal, or batch)"
                     ))
@@ -233,9 +283,9 @@ pub fn parse_event(line: &str) -> Result<ClientEvent, TroutError> {
                 }
             };
             let deadline_ms =
-                match j.get("deadline_ms") {
+                match env.deadline_ms {
                     None => None,
-                    Some(Json::Int(v)) if *v > 0 => Some(u64::try_from(*v).map_err(|_| {
+                    Some(JsonRef::Int(v)) if v > 0 => Some(u64::try_from(v).map_err(|_| {
                         TroutError::Parse("field `deadline_ms` out of range".into())
                     })?),
                     Some(_) => {
@@ -244,15 +294,15 @@ pub fn parse_event(line: &str) -> Result<ClientEvent, TroutError> {
                         ))
                     }
                 };
-            let trace = match j.get("trace") {
+            let trace = match env.trace {
                 None => false,
-                Some(Json::Bool(b)) => {
-                    if *b && !v2 {
+                Some(JsonRef::Bool(b)) => {
+                    if b && !v2 {
                         return Err(TroutError::Protocol(
                             "`trace` requires the v2 envelope (`\"v\":2`)".into(),
                         ));
                     }
-                    *b
+                    b
                 }
                 Some(_) => {
                     return Err(TroutError::Protocol(
@@ -261,28 +311,29 @@ pub fn parse_event(line: &str) -> Result<ClientEvent, TroutError> {
                 }
             };
             Ok(ClientEvent::Predict {
-                id: field_u64(&j, "id")?,
-                time: field_i64(&j, "time")?,
+                id: field_u64(env.id, "id")?,
+                time: field_i64(env.time, "time")?,
                 lane,
                 deadline_ms,
                 v2,
                 trace,
             })
         }
-        "metrics" => Ok(ClientEvent::Metrics(match j.get("format") {
+        "metrics" => Ok(ClientEvent::Metrics(match env.format {
             None => MetricsFormat::Json,
-            Some(Json::Str(s)) if s == "json" => MetricsFormat::Json,
-            Some(Json::Str(s)) if s == "prometheus" => MetricsFormat::Prometheus,
+            Some(JsonRef::Str(s)) if s == "json" => MetricsFormat::Json,
+            Some(JsonRef::Str(s)) if s == "prometheus" => MetricsFormat::Prometheus,
             Some(other) => {
                 return Err(TroutError::Protocol(format!(
-                    "metrics: unknown format {other:?} (expected \"json\" or \"prometheus\")"
+                    "metrics: unknown format {:?} (expected \"json\" or \"prometheus\")",
+                    other.into_json()
                 )))
             }
         })),
         "trace" => {
-            let last = match j.get("last") {
+            let last = match env.last {
                 None => DEFAULT_TRACE_LAST,
-                Some(Json::Int(v)) if *v > 0 => usize::try_from(*v)
+                Some(JsonRef::Int(v)) if v > 0 => usize::try_from(v)
                     .map_err(|_| TroutError::Parse("field `last` out of range".into()))?,
                 Some(_) => {
                     return Err(TroutError::Parse(
@@ -297,6 +348,17 @@ pub fn parse_event(line: &str) -> Result<ClientEvent, TroutError> {
         "state" => Ok(ClientEvent::StateDump),
         "shutdown" => Ok(ClientEvent::Shutdown),
         other => Err(TroutError::Protocol(format!("unknown event `{other}`"))),
+    }
+}
+
+/// A request line's text: borrowed when its bytes are valid UTF-8, decoded
+/// lossily otherwise, so an invalid byte makes that one line a `parse`
+/// error instead of ending the session. Every transport reads lines
+/// through it.
+pub(crate) fn line_text(bytes: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(bytes) {
+        Ok(s) => Cow::Borrowed(s),
+        Err(_) => String::from_utf8_lossy(bytes),
     }
 }
 
@@ -379,44 +441,67 @@ pub fn ack_response(event: &str, id: u64) -> String {
     .to_string()
 }
 
-/// The predict response: decision, probabilities, and minutes when present.
-/// `v2` requests additionally get their lane echoed (right after `id`), and
-/// a traced request gets its minted trace id (hex, after the lane); omitting
-/// both for v1 keeps those responses byte-identical to the v1 protocol.
+/// The predict response line as a `String` (no newline): decision,
+/// probabilities, and minutes when present. See
+/// [`write_prediction_response`], which the daemon uses.
 pub fn prediction_response(
     id: u64,
     p: &QueuePrediction,
     v2: bool,
     trace_id: Option<u64>,
 ) -> String {
-    let mut members = vec![
-        ("ok".into(), Json::Bool(true)),
-        ("event".into(), Json::Str("predict".into())),
-        ("id".into(), Json::Int(id as i128)),
-    ];
+    let mut line = Vec::new();
+    write_prediction_response(&mut line, id, p, v2, trace_id);
+    line.pop();
+    String::from_utf8(line).expect("the predict writer emits UTF-8")
+}
+
+/// Appends the predict response and its newline to `out`, allocating
+/// nothing once `out` has the room. `v2` requests additionally get their
+/// lane echoed (right after `id`), and a traced request gets its minted
+/// trace id (hex, after the lane); omitting both for v1 keeps those
+/// responses byte-identical to the v1 protocol.
+pub fn write_prediction_response(
+    out: &mut Vec<u8>,
+    id: u64,
+    p: &QueuePrediction,
+    v2: bool,
+    trace_id: Option<u64>,
+) {
+    write_prediction(&mut ByteWriter(out), id, p, v2, trace_id)
+        .expect("writing to a Vec cannot fail");
+}
+
+fn write_prediction(
+    w: &mut ByteWriter<'_>,
+    id: u64,
+    p: &QueuePrediction,
+    v2: bool,
+    trace_id: Option<u64>,
+) -> std::fmt::Result {
+    let float = |x: f32| Number::Float(x as f64);
+    w.write_str("{\"ok\":true,\"event\":\"predict\",\"id\":")?;
+    write_number(w, Number::Int(id as i128))?;
     if v2 {
-        members.push(("lane".into(), Json::Str(p.lane.as_str().into())));
+        write!(w, ",\"lane\":\"{}\"", p.lane.as_str())?;
         if let Some(tid) = trace_id {
-            members.push(("trace_id".into(), Json::Str(trace_id_str(tid))));
+            write!(w, ",\"trace_id\":\"{tid:016x}\"")?;
         }
     }
-    members.extend([
-        (
-            "quick_start".into(),
-            Json::Bool(matches!(p.estimate, QueueEstimate::QuickStart)),
-        ),
-        ("quick_proba".into(), Json::Num(p.quick_proba as f64)),
-        (
-            "calibrated_proba".into(),
-            Json::Num(p.calibrated_proba as f64),
-        ),
-        ("cutoff_min".into(), Json::Num(p.cutoff_min as f64)),
-    ]);
+    let quick = matches!(p.estimate, QueueEstimate::QuickStart);
+    write!(w, ",\"quick_start\":{quick},\"quick_proba\":")?;
+    write_number(w, float(p.quick_proba))?;
+    w.write_str(",\"calibrated_proba\":")?;
+    write_number(w, float(p.calibrated_proba))?;
+    w.write_str(",\"cutoff_min\":")?;
+    write_number(w, float(p.cutoff_min))?;
     if let Some(m) = p.minutes {
-        members.push(("minutes".into(), Json::Num(m as f64)));
+        w.write_str(",\"minutes\":")?;
+        write_number(w, float(m))?;
     }
-    members.push(("message".into(), Json::Str(p.message())));
-    Json::Obj(members).to_string()
+    w.write_str(",\"message\":\"")?;
+    p.estimate.write_message(p.cutoff_min, w)?;
+    w.write_str("\"}\n")
 }
 
 /// The canonical wire form of a trace id: 16 hex digits (strings survive
@@ -520,6 +605,422 @@ pub fn error_response(e: &TroutError) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trout_std::proptest_lite::vec_of;
+    use trout_std::{prop_assert_eq, proptest_lite};
+
+    // -- Oracles: the tree-based decoder and encoder the wire path replaced.
+
+    fn tree_i64(j: &Json, key: &str) -> Result<i64, TroutError> {
+        match j.get(key) {
+            Some(Json::Int(v)) => i64::try_from(*v)
+                .map_err(|_| TroutError::Parse(format!("field `{key}` out of range"))),
+            Some(_) => Err(TroutError::Parse(format!(
+                "field `{key}` must be an integer"
+            ))),
+            None => Err(TroutError::Parse(format!("missing field `{key}`"))),
+        }
+    }
+
+    fn tree_u64(j: &Json, key: &str) -> Result<u64, TroutError> {
+        let v = tree_i64(j, key)?;
+        u64::try_from(v)
+            .map_err(|_| TroutError::Parse(format!("field `{key}` must be non-negative")))
+    }
+
+    /// `parse_event` as it was before the in-place decoder: parse the line
+    /// into a tree, then look members up by key.
+    fn parse_event_tree(line: &str) -> Result<ClientEvent, TroutError> {
+        let j = Json::parse(line).map_err(|e| TroutError::Parse(e.to_string()))?;
+        let kind = match j.get("event") {
+            Some(Json::Str(s)) => s.clone(),
+            _ => return Err(TroutError::Protocol("missing `event` tag".into())),
+        };
+        match kind.as_str() {
+            "submit" => {
+                let job = j
+                    .get("job")
+                    .ok_or_else(|| TroutError::Protocol("submit: missing `job` object".into()))?;
+                Ok(ClientEvent::Submit(Box::new(parse_job(job)?)))
+            }
+            "start" => Ok(ClientEvent::Start {
+                id: tree_u64(&j, "id")?,
+                time: tree_i64(&j, "time")?,
+            }),
+            "end" => Ok(ClientEvent::End {
+                id: tree_u64(&j, "id")?,
+                time: tree_i64(&j, "time")?,
+            }),
+            "predict" => {
+                let v2 = match j.get("v") {
+                    None => false,
+                    Some(Json::Int(1)) => false,
+                    Some(Json::Int(2)) => true,
+                    Some(other) => {
+                        return Err(TroutError::Protocol(format!(
+                            "unsupported protocol version {other} (expected 1 or 2)"
+                        )))
+                    }
+                };
+                let lane = match j.get("lane") {
+                    None => Lane::Normal,
+                    Some(Json::Str(s)) => Lane::parse(s).ok_or_else(|| {
+                        TroutError::Protocol(format!(
+                            "unknown lane `{s}` (expected urgent, normal, or batch)"
+                        ))
+                    })?,
+                    Some(_) => {
+                        return Err(TroutError::Protocol("field `lane` must be a string".into()))
+                    }
+                };
+                let deadline_ms = match j.get("deadline_ms") {
+                    None => None,
+                    Some(Json::Int(v)) if *v > 0 => Some(u64::try_from(*v).map_err(|_| {
+                        TroutError::Parse("field `deadline_ms` out of range".into())
+                    })?),
+                    Some(_) => {
+                        return Err(TroutError::Parse(
+                            "field `deadline_ms` must be a positive integer".into(),
+                        ))
+                    }
+                };
+                let trace = match j.get("trace") {
+                    None => false,
+                    Some(Json::Bool(b)) => {
+                        if *b && !v2 {
+                            return Err(TroutError::Protocol(
+                                "`trace` requires the v2 envelope (`\"v\":2`)".into(),
+                            ));
+                        }
+                        *b
+                    }
+                    Some(_) => {
+                        return Err(TroutError::Protocol(
+                            "field `trace` must be a boolean".into(),
+                        ))
+                    }
+                };
+                Ok(ClientEvent::Predict {
+                    id: tree_u64(&j, "id")?,
+                    time: tree_i64(&j, "time")?,
+                    lane,
+                    deadline_ms,
+                    v2,
+                    trace,
+                })
+            }
+            "metrics" => Ok(ClientEvent::Metrics(match j.get("format") {
+                None => MetricsFormat::Json,
+                Some(Json::Str(s)) if s == "json" => MetricsFormat::Json,
+                Some(Json::Str(s)) if s == "prometheus" => MetricsFormat::Prometheus,
+                Some(other) => {
+                    return Err(TroutError::Protocol(format!(
+                        "metrics: unknown format {other:?} (expected \"json\" or \"prometheus\")"
+                    )))
+                }
+            })),
+            "trace" => {
+                let last = match j.get("last") {
+                    None => DEFAULT_TRACE_LAST,
+                    Some(Json::Int(v)) if *v > 0 => usize::try_from(*v)
+                        .map_err(|_| TroutError::Parse("field `last` out of range".into()))?,
+                    Some(_) => {
+                        return Err(TroutError::Parse(
+                            "field `last` must be a positive integer".into(),
+                        ))
+                    }
+                };
+                Ok(ClientEvent::Trace { last })
+            }
+            "promote" => Ok(ClientEvent::Promote),
+            "replication" => Ok(ClientEvent::ReplicationStatus),
+            "state" => Ok(ClientEvent::StateDump),
+            "shutdown" => Ok(ClientEvent::Shutdown),
+            other => Err(TroutError::Protocol(format!("unknown event `{other}`"))),
+        }
+    }
+
+    /// The predict response as it was built before the direct writer: a
+    /// `Json` tree, stringified.
+    fn prediction_response_tree(
+        id: u64,
+        p: &QueuePrediction,
+        v2: bool,
+        trace_id: Option<u64>,
+    ) -> String {
+        let mut members = vec![
+            ("ok".into(), Json::Bool(true)),
+            ("event".into(), Json::Str("predict".into())),
+            ("id".into(), Json::Int(id as i128)),
+        ];
+        if v2 {
+            members.push(("lane".into(), Json::Str(p.lane.as_str().into())));
+            if let Some(tid) = trace_id {
+                members.push(("trace_id".into(), Json::Str(trace_id_str(tid))));
+            }
+        }
+        members.extend([
+            (
+                "quick_start".into(),
+                Json::Bool(matches!(p.estimate, QueueEstimate::QuickStart)),
+            ),
+            ("quick_proba".into(), Json::Num(p.quick_proba as f64)),
+            (
+                "calibrated_proba".into(),
+                Json::Num(p.calibrated_proba as f64),
+            ),
+            ("cutoff_min".into(), Json::Num(p.cutoff_min as f64)),
+        ]);
+        if let Some(m) = p.minutes {
+            members.push(("minutes".into(), Json::Num(m as f64)));
+        }
+        members.push(("message".into(), Json::Str(p.message())));
+        Json::Obj(members).to_string()
+    }
+
+    // -- Decode equivalence.
+
+    /// Member values the mutations substitute: every JSON kind, in-range,
+    /// out-of-range and float numbers, and the strings the events know.
+    const VALUES: &[&str] = &[
+        "null",
+        "true",
+        "false",
+        "0",
+        "-1",
+        "1",
+        "2",
+        "3",
+        "7",
+        "-5",
+        "1.5",
+        "2.0",
+        "1e3",
+        "-0",
+        "0.0",
+        "4294967296",
+        "9223372036854775807",
+        "9223372036854775808",
+        "18446744073709551616",
+        "99999999999999999999999999999999999999999",
+        "\"predict\"",
+        "\"start\"",
+        "\"end\"",
+        "\"trace\"",
+        "\"metrics\"",
+        "\"urgent\"",
+        "\"normal\"",
+        "\"batch\"",
+        "\"vip\"",
+        "\"json\"",
+        "\"prometheus\"",
+        "\"\"",
+        "\"pr\\u0065dict\"",
+        "[1,2]",
+        "{\"a\":[null]}",
+        "[]",
+    ];
+
+    /// The base line of each event kind the property mutates, as
+    /// `(key, value)` member texts.
+    fn base_members(kind: u64) -> Vec<(String, String)> {
+        let m = |pairs: &[(&str, &str)]| {
+            pairs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect::<Vec<_>>()
+        };
+        match kind % 6 {
+            0 => m(&[("event", "\"predict\""), ("id", "42"), ("time", "1200")]),
+            1 => m(&[
+                ("v", "2"),
+                ("event", "\"predict\""),
+                ("id", "42"),
+                ("time", "1200"),
+                ("deadline_ms", "50"),
+                ("lane", "\"urgent\""),
+                ("trace", "true"),
+            ]),
+            2 => m(&[("event", "\"start\""), ("id", "42"), ("time", "1300")]),
+            3 => m(&[("event", "\"end\""), ("id", "42"), ("time", "1400")]),
+            4 => m(&[("event", "\"trace\""), ("last", "5")]),
+            _ => m(&[("event", "\"metrics\""), ("format", "\"prometheus\"")]),
+        }
+    }
+
+    /// Spells every char of `s` as a `\uXXXX` escape.
+    fn escaped(s: &str) -> String {
+        s.chars().map(|c| format!("\\u{:04x}", c as u32)).collect()
+    }
+
+    /// Renders mutated members as a request line.
+    fn render(members: &[(String, String)], ws: u64) -> String {
+        const WS: &[&str] = &["", " ", "\t", "\r\n ", "  "];
+        let pad = |k: usize| WS[((ws >> (k % 16 * 4)) % WS.len() as u64) as usize];
+        let mut line = format!("{}{{", pad(0));
+        for (k, (key, value)) in members.iter().enumerate() {
+            if k > 0 {
+                line.push(',');
+            }
+            line.push_str(&format!(
+                "{}\"{key}\"{}:{}{value}{}",
+                pad(k + 1),
+                pad(k + 2),
+                pad(k + 3),
+                pad(k + 4)
+            ));
+        }
+        line.push('}');
+        line
+    }
+
+    proptest_lite! {
+        // The in-place decoder returns exactly what the tree decoder
+        // returned — the same event, or the same error (class and text) —
+        // for predict, start, end, trace and metrics lines under reordered,
+        // duplicated, unknown, replaced and removed members, escaped keys
+        // and values, whitespace, truncation and trailing bytes.
+        #[cases(3000)]
+        fn in_place_decode_matches_the_tree_decoder(
+            kind in 0u64..6,
+            ops in vec_of((0u64..8, 0u64..64, 0u64..64), 0..6),
+            ws in 0u64..u64::MAX,
+            cut in 0u64..400,
+            tail in 0u64..8
+        ) {
+            let mut members = base_members(kind);
+            for &(op, a, b) in &ops {
+                let n = members.len();
+                let value = VALUES[b as usize % VALUES.len()].to_string();
+                match op {
+                    0 if n > 1 => members.swap(a as usize % n, b as usize % n),
+                    1 if n > 0 => {
+                        let dup = (members[a as usize % n].0.clone(), value);
+                        members.insert(b as usize % (n + 1), dup);
+                    }
+                    2 => members.insert(b as usize % (n + 1), (format!("x{a}"), value)),
+                    3 if n > 0 => members[a as usize % n].1 = value,
+                    4 if n > 0 => {
+                        let key = &mut members[a as usize % n].0;
+                        *key = escaped(key);
+                    }
+                    5 if n > 0 => {
+                        let v = &mut members[a as usize % n].1;
+                        if let Some(inner) = v.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
+                            *v = format!("\"{}\"", escaped(inner));
+                        }
+                    }
+                    6 if n > 0 => {
+                        members.remove(a as usize % n);
+                    }
+                    _ => {}
+                }
+            }
+            let mut line = render(&members, ws);
+            if cut < 100 {
+                line.truncate(cut as usize * line.len() / 100);
+            }
+            line.push_str(["", " ", "\n", "x", "}", ",", "{}", "\"\""][tail as usize]);
+            let class = |r: Result<ClientEvent, TroutError>| r.map_err(|e| e.to_string());
+            prop_assert_eq!(
+                class(parse_event(&line)),
+                class(parse_event_tree(&line)),
+                "{}",
+                line
+            );
+        }
+    }
+
+    // -- Serializer byte identity.
+
+    /// Floats the response writer must spell exactly as the tree did.
+    const SPECIAL_F32: &[f32] = &[
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        1.0,
+        10.0,
+        -3.0,
+        0.1,
+        f32::MAX,
+        f32::MIN,
+        f32::MIN_POSITIVE,
+        1e-45, // the smallest subnormal
+        1.17e-38,
+        16_777_217.0,
+    ];
+
+    /// An arbitrary f32: a special value or any bit pattern.
+    fn any_f32(pick: u64) -> f32 {
+        if pick.is_multiple_of(3) {
+            SPECIAL_F32[(pick / 3) as usize % SPECIAL_F32.len()]
+        } else {
+            f32::from_bits((pick >> 2) as u32)
+        }
+    }
+
+    proptest_lite! {
+        // The direct writer emits the tree builder's bytes plus a newline,
+        // for v1, v2 and traced responses, quick starts and minute
+        // estimates, with or without minutes, over NaN, ±inf, -0.0,
+        // integral values, f32::MAX and subnormals (which print ~65
+        // characters once widened to f64).
+        #[cases(3000)]
+        fn direct_writer_matches_the_tree_response(
+            id in 0u64..u64::MAX,
+            floats in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            shape in 0u64..64,
+            trace_id in 0u64..u64::MAX
+        ) {
+            let (a, b, c, d) = floats;
+            let lane = Lane::from_rank(shape as usize % 3).unwrap();
+            let p = QueuePrediction {
+                estimate: if shape & 4 == 0 {
+                    QueueEstimate::QuickStart
+                } else {
+                    QueueEstimate::Minutes(any_f32(d))
+                },
+                quick_proba: any_f32(a),
+                calibrated_proba: any_f32(b),
+                minutes: (shape & 8 != 0).then(|| any_f32(d)),
+                cutoff_min: any_f32(c),
+                lane,
+            };
+            let v2 = shape & 16 != 0;
+            let tid = (shape & 32 != 0).then_some(trace_id);
+            let want = prediction_response_tree(id, &p, v2, tid);
+            // Into a buffer that already holds a response: appended, not
+            // overwritten.
+            let mut out = b"prev\n".to_vec();
+            write_prediction_response(&mut out, id, &p, v2, tid);
+            prop_assert_eq!(
+                String::from_utf8(out).unwrap(),
+                format!("prev\n{want}\n")
+            );
+            prop_assert_eq!(prediction_response(id, &p, v2, tid), want);
+        }
+    }
+
+    #[test]
+    fn subnormal_probabilities_are_written_in_full() {
+        let p = QueuePrediction {
+            estimate: QueueEstimate::Minutes(f32::from_bits(1)),
+            quick_proba: f32::from_bits(1),
+            calibrated_proba: f32::from_bits(0x007f_ffff),
+            minutes: Some(f32::MAX),
+            cutoff_min: 10.0,
+            lane: Lane::Batch,
+        };
+        let line = prediction_response(u64::MAX, &p, true, Some(1));
+        assert_eq!(line, prediction_response_tree(u64::MAX, &p, true, Some(1)));
+        let proba = "1.401298464324817e-45".parse::<f64>().unwrap();
+        assert_eq!(
+            Json::parse(&line).unwrap().get("quick_proba"),
+            Some(&Json::Num(proba))
+        );
+        assert!(line.len() > 200, "{line}");
+    }
 
     #[test]
     fn submit_round_trips_through_job_to_json() {

@@ -42,6 +42,7 @@ use trout_core::TroutError;
 use trout_std::evloop::{poll_fds, set_nonblocking, PollFd, Waker, POLLIN, POLLOUT};
 
 use crate::metrics::ServeMetrics;
+use crate::protocol::line_text;
 use crate::router::{Flow, RouterSession};
 use crate::server::{configure_client, AcceptBackoff, DEFAULT_BATCH_MAX};
 use crate::shard::ShardSet;
@@ -370,7 +371,7 @@ fn process_lines(conn: &mut Conn, shards: &ShardSet, metrics: &ServeMetrics) {
     let mut consumed = 0usize;
     while let Some(rel) = conn.rbuf[consumed..].iter().position(|&b| b == b'\n') {
         let end = consumed + rel;
-        let line = String::from_utf8_lossy(&conn.rbuf[consumed..end]).into_owned();
+        let line = line_text(&conn.rbuf[consumed..end]);
         consumed = end + 1;
         let trimmed = line.trim();
         if trimmed.is_empty() {

@@ -41,7 +41,7 @@ use trout_std::rng::SplitMix64;
 use crate::engine::PredictQuery;
 use crate::protocol::{
     ack_response, error_response, metrics_prometheus_response, metrics_response, parse_event,
-    prediction_response, promote_response, state_dump_response, trace_response, ClientEvent,
+    promote_response, state_dump_response, trace_response, write_prediction_response, ClientEvent,
     MetricsFormat,
 };
 use crate::shard::ShardSet;
@@ -136,8 +136,18 @@ enum Slot {
 
 /// Per-client routing state: per-shard predict queues, the coalescing
 /// window position counter, and pre-resolved shed slots.
+///
+/// A flush reuses the session's `slots`, `queries` and `results` buffers,
+/// so once they have grown to the largest window, a session that only
+/// predicts allocates nothing from request bytes to response bytes.
 pub struct RouterSession {
     per_shard: Vec<Vec<QueuedPredict>>,
+    /// Flush scratch: one resolution per window position.
+    slots: Vec<Option<Slot>>,
+    /// Flush scratch: one shard's batch, in execution order.
+    queries: Vec<PredictQuery>,
+    /// Flush scratch: that batch's results.
+    results: Vec<Result<QueuePrediction, TroutError>>,
     /// Window positions issued (admitted + shed) — the response count a
     /// flush owes.
     window: usize,
@@ -160,6 +170,9 @@ impl RouterSession {
     pub fn new(n_shards: usize, batch_max: usize) -> RouterSession {
         RouterSession {
             per_shard: (0..n_shards.max(1)).map(|_| Vec::new()).collect(),
+            slots: Vec::new(),
+            queries: Vec::new(),
+            results: Vec::new(),
             window: 0,
             queued: 0,
             shed: Vec::new(),
@@ -193,10 +206,10 @@ impl RouterSession {
 
     /// Flushes the window if anything is pending (it is always due, see
     /// [`RouterSession::due_at`]). Returns whether a flush happened.
-    pub fn flush_if_due<W: Write>(
+    pub fn flush_if_due(
         &mut self,
         shards: &ShardSet,
-        out: &mut W,
+        out: &mut Vec<u8>,
     ) -> Result<bool, TroutError> {
         if self.window == 0 {
             return Ok(false);
@@ -207,14 +220,14 @@ impl RouterSession {
 
     /// Handles one non-empty request line: queues a predict (flushing at the
     /// batch cap), or flushes then applies/answers anything else. Responses
-    /// are written to `out` but not flushed to the OS — transports flush
-    /// when their write boundary arrives (end of readable burst, end of
-    /// line loop).
-    pub fn handle_line<W: Write>(
+    /// are appended to `out`, the transport's write buffer, which it sends
+    /// when its write boundary arrives (end of readable burst, end of line
+    /// loop).
+    pub fn handle_line(
         &mut self,
         shards: &ShardSet,
         line: &str,
-        out: &mut W,
+        out: &mut Vec<u8>,
     ) -> Result<Flow, TroutError> {
         shards.metrics0().requests_total.inc();
         // Accept instant: anchors the parse stage of a traced request.
@@ -361,12 +374,14 @@ impl RouterSession {
     /// never changes response bytes (inference is row-independent) but it
     /// does order journal predict lines and featurization, so the latency a
     /// lane pays inside the flush follows its priority.
-    pub fn flush<W: Write>(&mut self, shards: &ShardSet, out: &mut W) -> Result<(), TroutError> {
+    pub fn flush(&mut self, shards: &ShardSet, out: &mut Vec<u8>) -> Result<(), TroutError> {
         if self.window == 0 {
             return Ok(());
         }
         let now = shards.clock().now_micros();
-        let mut slots: Vec<Option<Slot>> = (0..self.window).map(|_| None).collect();
+        let slots = &mut self.slots;
+        slots.clear();
+        slots.resize_with(self.window, || None);
         for (pos, retry_after_ms) in self.shed.drain(..) {
             slots[pos] = Some(Slot::Shed { retry_after_ms });
         }
@@ -374,30 +389,30 @@ impl RouterSession {
             if queue.is_empty() {
                 continue;
             }
-            queue.sort_by_key(|q| (q.lane.rank(), q.pos));
+            // Positions are unique, so the unstable (in-place) sort gives
+            // the same order a stable one would.
+            queue.sort_unstable_by_key(|q| (q.lane.rank(), q.pos));
             let traced_any = queue.iter().any(|q| q.traced);
-            let queries: Vec<PredictQuery> = queue
-                .iter()
-                .map(|q| PredictQuery {
-                    id: q.id,
-                    time: q.time,
-                    lane: q.lane,
-                })
-                .collect();
+            self.queries.clear();
+            self.queries.extend(queue.iter().map(|q| PredictQuery {
+                id: q.id,
+                time: q.time,
+                lane: q.lane,
+            }));
             let mut guard = shards.lock(shard_idx);
             let lock_us = if traced_any {
                 shards.clock().now_micros()
             } else {
                 0
             };
-            let results = guard.predict_batch(&queries);
+            guard.predict_batch_into(&self.queries, &mut self.results);
             let stamp = traced_any.then(|| ShardStamp {
                 shard: shard_idx,
                 lock_us,
                 done_us: shards.clock().now_micros(),
                 featurize_us: guard.last_batch_featurize_us(),
             });
-            pair_shard_results(&mut slots, queue, results, now, stamp);
+            pair_shard_results(slots, queue, &mut self.results, now, stamp);
             // Errors and scheduling outcomes are accounted where they
             // happened: the shard that owned the query.
             for q in queue.iter() {
@@ -423,7 +438,7 @@ impl RouterSession {
                 shards.admission().release(q.lane);
             }
         }
-        for (pos, slot) in slots.into_iter().enumerate() {
+        for (pos, slot) in slots.drain(..).enumerate() {
             match slot {
                 Some(Slot::Shed { retry_after_ms }) => writeln!(
                     out,
@@ -436,13 +451,13 @@ impl RouterSession {
                     result: Ok(p),
                     trace,
                 }) => match trace {
-                    None => writeln!(out, "{}", prediction_response(id, &p, v2, None))?,
+                    None => write_prediction_response(out, id, &p, v2, None),
                     Some(t) => {
                         // Backlog ends and serialization begins now; the
                         // completed record lands in the owning shard's
                         // flight recorder.
                         let ser_start_us = shards.clock().now_micros();
-                        writeln!(out, "{}", prediction_response(id, &p, v2, Some(t.trace_id)))?;
+                        write_prediction_response(out, id, &p, v2, Some(t.trace_id));
                         let end_us = shards.clock().now_micros();
                         let mut stages = [0u64; N_STAGES];
                         stages[Stage::Parse.index()] = t.parse_us;
@@ -488,15 +503,15 @@ impl RouterSession {
 /// breaks, the unpaired trailing queries get an explicit error result
 /// instead of silently never being answered (a client waiting on a response
 /// that will never come is a hang, not an error). Extra results beyond the
-/// queue are dropped.
+/// queue are dropped; `results` is left empty either way.
 fn pair_shard_results(
     slots: &mut [Option<Slot>],
     queue: &[QueuedPredict],
-    results: Vec<Result<QueuePrediction, TroutError>>,
+    results: &mut Vec<Result<QueuePrediction, TroutError>>,
     flush_us: u64,
     stamp: Option<ShardStamp>,
 ) {
-    let mut results = results.into_iter();
+    let mut results = results.drain(..);
     for q in queue {
         let result = results.next().unwrap_or_else(|| {
             Err(TroutError::Model(format!(
@@ -729,7 +744,7 @@ mod tests {
                     unpaired = queue[keep..].iter().map(|q| q.id).collect();
                     results.truncate(keep);
                 }
-                pair_shard_results(&mut slots, queue, results, 0, None);
+                pair_shard_results(&mut slots, queue, &mut results, 0, None);
             }
             for (pos, slot) in slots.iter().enumerate() {
                 let (id, result) = match slot.as_ref().expect("every window position answered") {

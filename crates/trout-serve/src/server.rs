@@ -25,7 +25,7 @@
 //! (`ECONNABORTED`, …) skip just that connection, and anything else is a
 //! broken listener and fatal.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -34,6 +34,7 @@ use std::time::Duration;
 use trout_core::TroutError;
 
 use crate::metrics::ServeMetrics;
+use crate::protocol::line_text;
 use crate::router::{Flow, RouterSession};
 use crate::shard::ShardSet;
 
@@ -181,6 +182,11 @@ pub(crate) fn configure_client(stream: &TcpStream) -> std::io::Result<()> {
 
 /// Runs one client session to completion (EOF or `shutdown`). Returns the
 /// number of request lines handled.
+///
+/// Lines are read as bytes and decoded with [`line_text`], so a line with
+/// invalid UTF-8 is answered with a `parse` error like any other malformed
+/// line. Responses collect in a session-owned buffer that is written to
+/// `out` (and `out` flushed) whenever no window position is pending.
 pub fn run_session<R: Read, W: Write>(
     shards: &ShardSet,
     input: R,
@@ -193,24 +199,31 @@ pub fn run_session<R: Read, W: Write>(
         batch_max
     };
     let mut reader = BufReader::new(input);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    let mut wbuf = Vec::new();
     let mut session = RouterSession::new(shards.len(), batch_max);
     let mut handled = 0u64;
+    let mut send = |wbuf: &mut Vec<u8>| -> std::io::Result<()> {
+        out.write_all(wbuf)?;
+        wbuf.clear();
+        out.flush()
+    };
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            session.flush(shards, &mut out)?;
-            out.flush()?;
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            session.flush(shards, &mut wbuf)?;
+            send(&mut wbuf)?;
             break;
         }
-        let trimmed = line.trim();
+        let text = line_text(&line);
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }
         handled += 1;
-        match session.handle_line(shards, trimmed, &mut out)? {
+        match session.handle_line(shards, trimmed, &mut wbuf)? {
             Flow::Shutdown => {
-                out.flush()?;
+                send(&mut wbuf)?;
                 return Ok(handled);
             }
             Flow::Continue => {}
@@ -220,10 +233,10 @@ pub fn run_session<R: Read, W: Write>(
         // presumably waiting on the answers — the same drain rule the
         // reactor applies (DESIGN §12).
         if session.pending() > 0 && reader.buffer().is_empty() {
-            session.flush(shards, &mut out)?;
+            session.flush(shards, &mut wbuf)?;
         }
         if session.pending() == 0 {
-            out.flush()?;
+            send(&mut wbuf)?;
         }
     }
     Ok(handled)
@@ -295,11 +308,10 @@ pub fn run_tcp(
                 .and_then(|()| stream.try_clone())
                 .map_err(TroutError::from)
                 .and_then(|reader| {
-                    // Buffered: with Nagle off, each response line would
-                    // otherwise leave as its own segment. `run_session`
-                    // flushes whenever no window is pending.
-                    let out = BufWriter::new(stream);
-                    run_session(&session_shards, reader, out, batch_max)
+                    // `run_session` buffers responses itself and writes
+                    // them in one go whenever no window is pending, so
+                    // with Nagle off a burst still leaves as few segments.
+                    run_session(&session_shards, reader, stream, batch_max)
                 });
             if let Err(e) = &result {
                 // The session is this error's only observer — record it

@@ -6,8 +6,10 @@
 //! reactor (where all faulty connections share ONE reactor thread). Also
 //! the regression guard for the session JoinHandle leak: a daemon serving
 //! many sequential clients must reap finished session threads instead of
-//! accumulating one handle per connection forever, and the guard that a
-//! reactor answers a lone predict without holding it for its deadline.
+//! accumulating one handle per connection forever, the guard that a
+//! reactor answers a lone predict without holding it for its deadline, and
+//! the guard that a line of invalid UTF-8 is answered, not fatal, on both
+//! transports.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -555,4 +557,64 @@ fn reactor_answers_a_lone_slack_deadline_predict_without_holding_it() {
     reader.read_line(&mut line).unwrap();
     assert!(line.contains("\"event\":\"shutdown\""), "{line}");
     server.join().unwrap();
+}
+
+/// One submit, then a predict line broken by invalid UTF-8 bytes, then a
+/// valid predict of the submitted job, then shutdown. Returns every
+/// response line the server sent before closing.
+fn invalid_utf8_exchange(addr: std::net::SocketAddr) -> Vec<String> {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let job = "{\"event\":\"submit\",\"job\":{\"id\":9001,\"user\":7,\"partition\":0,\
+               \"submit_time\":1000,\"req_cpus\":8,\"req_mem_gb\":16,\"req_nodes\":1,\
+               \"timelimit_min\":30}}\n";
+    conn.write_all(job.as_bytes()).unwrap();
+    let mut ack = String::new();
+    reader.read_line(&mut ack).unwrap();
+    assert!(ack.contains("\"ok\":true"), "submit acked: {ack}");
+
+    let mut bad = b"{\"event\":\"predict\",".to_vec();
+    bad.extend_from_slice(&[0xFF, 0xFE, 0xFF]);
+    bad.extend_from_slice(b"}\n");
+    conn.write_all(&bad).unwrap();
+    conn.write_all(b"{\"v\":2,\"event\":\"predict\",\"id\":9001,\"time\":1200}\n")
+        .unwrap();
+    conn.write_all(b"{\"event\":\"shutdown\"}\n").unwrap();
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => lines.push(line),
+        }
+    }
+    lines
+}
+
+#[test]
+fn invalid_utf8_line_is_answered_not_fatal_on_both_transports() {
+    let (tcp_addr, tcp_server, _tcp_shared) = spawn_server(1);
+    let (reactor_addr, reactor_server, _reactor_shared) = spawn_reactor(2, 1);
+    for (transport, addr) in [("run_tcp", tcp_addr), ("reactor", reactor_addr)] {
+        let lines = invalid_utf8_exchange(addr);
+        assert_eq!(
+            lines.len(),
+            3,
+            "{transport}: a parse error, the prediction, the shutdown ack: {lines:?}"
+        );
+        let err = Json::parse(&lines[0]).unwrap();
+        assert_eq!(err.get("ok"), Some(&Json::Bool(false)), "{transport}");
+        match err.get("error") {
+            Some(Json::Str(msg)) => assert!(msg.starts_with("parse"), "{transport}: {msg}"),
+            other => panic!("{transport}: bad error member {other:?}"),
+        }
+        let pred = Json::parse(&lines[1]).unwrap();
+        assert_eq!(pred.get("ok"), Some(&Json::Bool(true)), "{transport}");
+        assert_eq!(pred.get("id"), Some(&Json::Int(9001)), "{transport}");
+        assert!(lines[2].contains("\"event\":\"shutdown\""), "{transport}");
+    }
+    tcp_server.join().unwrap();
+    reactor_server.join().unwrap();
 }

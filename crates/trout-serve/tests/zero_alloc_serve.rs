@@ -1,4 +1,5 @@
-//! Proves the serve predict path is allocation-free at steady state.
+//! Proves the serve predict path is allocation-free at steady state, from
+//! request bytes to response bytes.
 //!
 //! "Steady state" is the daemon's dominant regime: pending jobs whose raw
 //! feature rows are already cached being re-predicted as the queue evolves.
@@ -9,19 +10,35 @@
 //! flush must touch the global allocator **exactly zero** times, in both
 //! the exact and the packed-f32 inference modes.
 //!
+//! The guarantee covers the whole session too: a warmed `RouterSession`
+//! decodes v2 predict lines in place (no owned line, no `Json` tree),
+//! admits and queues them, flushes through its reused slot, query and
+//! result buffers, and writes each answer straight into the caller's
+//! output buffer — again exactly zero allocations, traced requests
+//! included.
+//!
 //! Paths deliberately outside the guarantee: the first predict of a job
 //! (clones its raw row into the refit cache), journaling (serializes event
-//! lines; needs a state dir), error slots (format their message), and
-//! refits.
+//! lines; needs a state dir), error responses and shed answers (format
+//! their message), lifecycle events and every other non-predict line
+//! (acks and dumps are built as `Json` trees), lines whose strings carry
+//! escapes (unescaped into an owned `String`), and refits.
+
+use std::sync::Mutex;
 
 use trout_obs::trace::{Stage, TraceRecord, N_STAGES};
 use trout_serve::engine::PredictQuery;
-use trout_serve::{ServeConfig, ServeEngine};
+use trout_serve::protocol::submit_line;
+use trout_serve::{RouterSession, ServeConfig, ServeEngine, ShardSet};
 use trout_slurmsim::SimulationBuilder;
 use trout_std::alloc_count::CountingAllocator;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
+
+/// The allocation counter is process-wide: the tests in this binary take
+/// turns so one's set-up never lands in another's counted region.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Allocations in one fully-warmed predict flush over `BATCH` pending jobs.
 fn steady_state_allocations(infer_f32: bool) -> u64 {
@@ -85,6 +102,7 @@ fn steady_state_allocations(infer_f32: bool) -> u64 {
 
 #[test]
 fn steady_state_predict_is_allocation_free() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // One thread keeps the (already sub-threshold) kernels serial, so the
     // thread-count env read never happens inside the counted region.
     std::env::set_var("TROUT_THREADS", "1");
@@ -96,4 +114,80 @@ fn steady_state_predict_is_allocation_free() {
         );
     }
     std::env::remove_var("TROUT_THREADS");
+}
+
+/// Allocations of one warmed session pass: `LINES` v2 predict lines (all
+/// three lanes, one traced) through `RouterSession::handle_line`, then the
+/// flush, all into a reused output buffer.
+fn session_allocations() -> u64 {
+    const LINES: usize = 32;
+    let cfg = ServeConfig {
+        refit_every: 0,
+        seed: 7,
+        ..Default::default()
+    };
+    let set = ShardSet::bootstrap(2, 300, &cfg);
+    let live = SimulationBuilder::anvil_like().jobs(64).seed(8).run();
+    let mut session = RouterSession::new(set.len(), 64);
+    let mut out = Vec::new();
+    for rec in live.records.iter().take(LINES) {
+        session
+            .handle_line(&set, &submit_line(rec), &mut out)
+            .unwrap();
+    }
+    let probe_t = live.records[LINES - 1].submit_time;
+    let lines: Vec<String> = live
+        .records
+        .iter()
+        .take(LINES)
+        .enumerate()
+        .map(|(k, rec)| {
+            let lane = ["urgent", "normal", "batch"][k % 3];
+            let trace = if k == 5 { ",\"trace\":true" } else { "" };
+            format!(
+                "{{\"v\":2,\"event\":\"predict\",\"id\":{},\"time\":{probe_t},\
+                 \"lane\":\"{lane}\",\"deadline_ms\":5000{trace}}}",
+                rec.id
+            )
+        })
+        .collect();
+    let mut pass = |out: &mut Vec<u8>| {
+        out.clear();
+        for line in &lines {
+            session.handle_line(&set, line, out).unwrap();
+        }
+        session.flush(&set, out).unwrap();
+    };
+    // Warm-up: the first pass caches raw rows and grows every buffer; the
+    // second confirms the shapes.
+    pass(&mut out);
+    pass(&mut out);
+    let (_, during) = CountingAllocator::count(|| pass(&mut out));
+
+    let text = String::from_utf8(out).unwrap();
+    let answers: Vec<&str> = text.lines().collect();
+    assert_eq!(answers.len(), LINES, "one answer per line:\n{text}");
+    for (k, (answer, rec)) in answers.iter().zip(&live.records).enumerate() {
+        assert!(
+            answer.starts_with(&format!(
+                "{{\"ok\":true,\"event\":\"predict\",\"id\":{},\"lane\":",
+                rec.id
+            )),
+            "answer {k} out of order or failed: {answer}"
+        );
+        assert_eq!(answer.contains("\"trace_id\""), k == 5, "{answer}");
+    }
+    during
+}
+
+#[test]
+fn warmed_session_is_allocation_free_from_line_to_response() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var("TROUT_THREADS", "1");
+    let n = session_allocations();
+    std::env::remove_var("TROUT_THREADS");
+    assert_eq!(
+        n, 0,
+        "a warmed session allocated {n} times handling and flushing 32 predicts"
+    );
 }

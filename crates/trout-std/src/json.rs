@@ -12,8 +12,17 @@
 //! Numbers: integers are kept as `i128` so `u64` seeds and job ids round
 //! trip exactly; floats write their shortest round-trip decimal form, with
 //! `f32` widened to `f64` first so the reparsed value is bit-identical.
-//! Non-finite floats serialize as `null` and parse back as NaN.
+//! Non-finite floats serialize as `null` and parse back as NaN. Those rules
+//! live in [`write_number`], which the tree writer and hand-written
+//! writers (the serve daemon's predict responses) share.
+//!
+//! Besides the tree parser, [`Members`] streams the top-level members of a
+//! document without building a tree: keys and escape-free strings borrow
+//! from the input, scalars come by value, and only nested values become a
+//! [`Json`]. Both run on one parser, so the grammar, the depth limit and
+//! the error text exist once.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed JSON document.
@@ -62,18 +71,10 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
+        let mut p = Parser::new(text);
         p.skip_ws();
         let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(JsonError::new(format!("trailing data at byte {}", p.pos)));
-        }
+        p.finish()?;
         Ok(v)
     }
 
@@ -134,49 +135,34 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    fn write<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                out.push_str(&i.to_string());
-            }
-            Json::Num(x) => {
-                if x.is_finite() {
-                    let s = x.to_string();
-                    out.push_str(&s);
-                    // Keep a float marker so integral floats stay floats.
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    // serde_json refuses NaN/inf; we degrade to null (read
-                    // back as NaN) so a poisoned model still checkpoints.
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_string(s, out),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => write_number(out, Number::Int(*i)),
+            Json::Num(x) => write_number(out, Number::Float(*x)),
+            Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    v.write(out);
+                    v.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(members) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_string(out, k)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -184,28 +170,72 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::new();
-        self.write(&mut s);
-        f.write_str(&s)
+        self.write(f)
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// A JSON number for [`write_number`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// An integer, written in decimal.
+    Int(i128),
+    /// A float (widen `f32` first, as [`ToJson`] for `f32` does).
+    Float(f64),
+}
+
+/// Writes a number in the workspace's JSON form: integers in decimal,
+/// finite floats in their shortest round-trip decimal form with a `.0`
+/// kept on integral values (so they read back as floats), and non-finite
+/// floats as `null`. Writes straight into `out`: no intermediate `String`.
+pub fn write_number<W: fmt::Write + ?Sized>(out: &mut W, n: Number) -> fmt::Result {
+    match n {
+        Number::Int(i) => write!(out, "{i}"),
+        // `Display` for f64 never uses an exponent, so an integral value
+        // prints without a `.` and needs the float marker.
+        Number::Float(x) if x.is_finite() && x.fract() == 0.0 => write!(out, "{x}.0"),
+        Number::Float(x) if x.is_finite() => write!(out, "{x}"),
+        // serde_json refuses NaN/inf; we degrade to null (read back as
+        // NaN) so a poisoned model still checkpoints.
+        Number::Float(_) => out.write_str("null"),
     }
-    out.push('"');
+}
+
+/// Writes `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters. Unescaped runs are written as whole slices.
+fn write_string<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, c) in s.char_indices() {
+        let esc = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            c if (c as u32) < 0x20 => None,
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        match esc {
+            Some(e) => out.write_str(e)?,
+            None => write!(out, "\\u{:04x}", c as u32)?,
+        }
+        run = i + c.len_utf8();
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
+
+/// [`fmt::Write`] over a byte buffer, so JSON text can be written straight
+/// into an output buffer (a socket's write buffer) with no `String` in
+/// between. Writing never fails.
+pub struct ByteWriter<'a>(pub &'a mut Vec<u8>);
+
+impl fmt::Write for ByteWriter<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
 }
 
 const MAX_DEPTH: usize = 128;
@@ -235,6 +265,27 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Ends a document: only whitespace may follow its value.
+    fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(JsonError::new(format!(
+                "trailing data at byte {}",
+                self.pos
+            )));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -281,7 +332,7 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b'[') => {
                 self.depth += 1;
                 self.pos += 1;
@@ -314,44 +365,63 @@ impl<'a> Parser<'a> {
                 Ok(Json::Arr(items))
             }
             Some(b'{') => {
-                self.depth += 1;
-                self.pos += 1;
                 let mut members = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Obj(members));
+                let mut more = self.open_object();
+                while more {
+                    let key = self.member_key()?.into_owned();
+                    members.push((key, self.value()?));
+                    more = self.member_end()?;
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    self.skip_ws();
-                    let val = self.value()?;
-                    members.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            break;
-                        }
-                        _ => {
-                            return Err(JsonError::new(format!(
-                                "expected ',' or '}}' at byte {}",
-                                self.pos
-                            )))
-                        }
-                    }
-                }
-                self.depth -= 1;
                 Ok(Json::Obj(members))
             }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(JsonError::new(format!(
                 "unexpected input at byte {}",
+                self.pos
+            ))),
+        }
+    }
+
+    /// Consumes an object's `{` (the caller has peeked it) and reports
+    /// whether a member follows; an empty object is consumed whole.
+    fn open_object(&mut self) -> bool {
+        self.depth += 1;
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            self.depth -= 1;
+            return false;
+        }
+        true
+    }
+
+    /// Consumes a member's `"key":` and the whitespace up to its value.
+    fn member_key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.eat(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// Consumes what follows a member's value: `,` (another member
+    /// follows, returns `true`) or the object's closing `}` (`false`).
+    fn member_end(&mut self) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(b'}') => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ => Err(JsonError::new(format!(
+                "expected ',' or '}}' at byte {}",
                 self.pos
             ))),
         }
@@ -384,11 +454,14 @@ impl<'a> Parser<'a> {
             .map_err(|_| JsonError::new(format!("invalid number '{text}' at byte {start}")))
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from the document when it has no escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        // Owned only once an escape is seen; until then the string is one
+        // slice of the input.
+        let mut owned: Option<String> = None;
         loop {
-            // Copy the run up to the next quote or backslash as one slice.
+            // Take the run up to the next quote or backslash as one slice.
             // Both delimiters are ASCII, so the run ends on a char boundary
             // of the already-valid input: each byte is examined once.
             let run = self.bytes[self.pos..]
@@ -399,11 +472,19 @@ impl<'a> Parser<'a> {
                 return Err(JsonError::new("unterminated string"));
             };
             let end = self.pos + run;
-            out.push_str(&self.text[self.pos..end]);
+            let text = &self.text[self.pos..end];
             self.pos = end + 1;
             if self.bytes[end] == b'"' {
-                return Ok(out);
+                return Ok(match owned {
+                    None => Cow::Borrowed(text),
+                    Some(mut out) => {
+                        out.push_str(text);
+                        Cow::Owned(out)
+                    }
+                });
             }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(text);
             let esc = self
                 .peek()
                 .ok_or_else(|| JsonError::new("unterminated escape"))?;
@@ -450,6 +531,115 @@ impl<'a> Parser<'a> {
             .map_err(|_| JsonError::new("invalid \\u escape"))?;
         self.pos += 4;
         u32::from_str_radix(text, 16).map_err(|_| JsonError::new("invalid \\u escape"))
+    }
+}
+
+/// One member value handed out by [`Members`]: a [`Json`] whose strings
+/// may borrow from the document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonRef<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// An integer literal (no `.` or exponent).
+    Int(i128),
+    /// A floating-point literal.
+    Num(f64),
+    /// A string: borrowed unless it contained escapes.
+    Str(Cow<'a, str>),
+    /// An array or object, built as a tree (borrowed when viewing one).
+    Nested(Cow<'a, Json>),
+}
+
+impl<'a> From<&'a Json> for JsonRef<'a> {
+    fn from(j: &'a Json) -> JsonRef<'a> {
+        match j {
+            Json::Null => JsonRef::Null,
+            Json::Bool(b) => JsonRef::Bool(*b),
+            Json::Int(i) => JsonRef::Int(*i),
+            Json::Num(x) => JsonRef::Num(*x),
+            Json::Str(s) => JsonRef::Str(Cow::Borrowed(s)),
+            Json::Arr(_) | Json::Obj(_) => JsonRef::Nested(Cow::Borrowed(j)),
+        }
+    }
+}
+
+impl From<Json> for JsonRef<'_> {
+    fn from(j: Json) -> Self {
+        match j {
+            Json::Null => JsonRef::Null,
+            Json::Bool(b) => JsonRef::Bool(b),
+            Json::Int(i) => JsonRef::Int(i),
+            Json::Num(x) => JsonRef::Num(x),
+            Json::Str(s) => JsonRef::Str(Cow::Owned(s)),
+            nested => JsonRef::Nested(Cow::Owned(nested)),
+        }
+    }
+}
+
+impl JsonRef<'_> {
+    /// The owned [`Json`] value (moves a nested tree out without a copy).
+    pub fn into_json(self) -> Json {
+        match self {
+            JsonRef::Null => Json::Null,
+            JsonRef::Bool(b) => Json::Bool(b),
+            JsonRef::Int(i) => Json::Int(i),
+            JsonRef::Num(x) => Json::Num(x),
+            JsonRef::Str(s) => Json::Str(s.into_owned()),
+            JsonRef::Nested(j) => j.into_owned(),
+        }
+    }
+}
+
+/// Reads the top-level members of one JSON document in order, without
+/// building a tree: keys and escape-free strings are slices of the input,
+/// scalars come by value, and only nested values become a [`Json`]. It
+/// accepts exactly what [`Json::parse`] accepts, with the same errors: the
+/// whole document is checked, so [`Members::next_member`] returns `None`
+/// only after the closing `}` and the trailing-data check. A document that
+/// is valid but not an object has no members. Duplicate keys are handed
+/// out as they appear.
+pub struct Members<'a> {
+    p: Parser<'a>,
+    /// Whether another member follows.
+    more: bool,
+}
+
+impl<'a> Members<'a> {
+    /// Starts reading `text`. Errors here are parse errors of the whole
+    /// document when it is not an object.
+    pub fn new(text: &'a str) -> Result<Members<'a>, JsonError> {
+        let mut p = Parser::new(text);
+        p.skip_ws();
+        let more = if p.peek() == Some(b'{') {
+            p.open_object()
+        } else {
+            p.value()?;
+            false
+        };
+        if !more {
+            p.finish()?;
+        }
+        Ok(Members { p, more })
+    }
+
+    /// The next `(key, value)`, or `None` once the document has ended.
+    pub fn next_member(&mut self) -> Result<Option<(Cow<'a, str>, JsonRef<'a>)>, JsonError> {
+        if !self.more {
+            return Ok(None);
+        }
+        let key = self.p.member_key()?;
+        let value = if self.p.peek() == Some(b'"') {
+            JsonRef::Str(self.p.string()?)
+        } else {
+            JsonRef::from(self.p.value()?)
+        };
+        self.more = self.p.member_end()?;
+        if !self.more {
+            self.p.finish()?;
+        }
+        Ok(Some((key, value)))
     }
 }
 
@@ -892,6 +1082,172 @@ mod tests {
             crate::prop_assert_eq!(parsed.as_ref(), Ok(&want));
             crate::prop_assert_eq!(Json::parse(&want.to_string()), Ok(want));
         }
+    }
+
+    /// Every member [`Members`] hands out, or its first error.
+    fn read_members(doc: &str) -> Result<Vec<(String, Json)>, JsonError> {
+        let mut r = Members::new(doc)?;
+        let mut out = Vec::new();
+        while let Some((k, v)) = r.next_member()? {
+            out.push((k.into_owned(), v.into_json()));
+        }
+        Ok(out)
+    }
+
+    /// A member value drawn from `pick`: every scalar kind, strings that
+    /// need escapes, and nested containers.
+    fn value_of(pick: u64, s: &str) -> Json {
+        match pick % 8 {
+            0 => Json::Null,
+            1 => Json::Bool(pick % 16 < 8),
+            2 => Json::Int(pick as i128 - (1 << 40)),
+            3 => Json::Num(f64::from_bits(pick.rotate_left(17)).clamp(-1e300, 1e300)),
+            4 | 5 => Json::Str(s.to_string()),
+            6 => Json::Arr(vec![Json::Int(1), Json::Str(s.to_string())]),
+            _ => Json::Obj(vec![(s.to_string(), Json::Arr(vec![]))]),
+        }
+    }
+
+    crate::proptest_lite! {
+        // The streaming member reader agrees with the tree parser on every
+        // document: the same members in order (duplicates included) when
+        // the tree is an object, none when it is another value, and the
+        // same error text when the document is malformed — after escaped
+        // keys, truncation or trailing bytes.
+        #[cases(400)]
+        fn member_reader_matches_the_tree_parser(
+            members in crate::proptest_lite::vec_of(
+                ((0u64..4, 0u64..u64::MAX), 0u64..u64::MAX), 0..8),
+            escape_keys in 0u64..2,
+            cut in 0u64..u64::MAX,
+            tail in 0u64..6
+        ) {
+            let mut doc = String::from("{");
+            for (k, ((kind, raw), pick)) in members.iter().enumerate() {
+                // Every seventh key repeats: duplicates come out in order.
+                let s: String = if pick % 7 == 0 {
+                    "dup".to_string()
+                } else {
+                    std::iter::once(char_of((*kind, *raw))).chain("ey".chars()).collect()
+                };
+                if k > 0 {
+                    doc.push_str(if pick % 3 == 0 { " ,\n " } else { "," });
+                }
+                if escape_keys == 1 {
+                    doc.push_str(&escape_all(&s));
+                } else {
+                    doc.push_str(&Json::Str(s.clone()).to_string());
+                }
+                doc.push_str(if pick % 5 == 0 { " : " } else { ":" });
+                doc.push_str(&value_of(*pick, &s).to_string());
+            }
+            doc.push('}');
+            // Sometimes cut the document short, sometimes append bytes.
+            if cut % 4 == 0 {
+                let mut at = (cut / 4) as usize % (doc.len() + 1);
+                while !doc.is_char_boundary(at) {
+                    at -= 1;
+                }
+                doc.truncate(at);
+            }
+            doc.push_str(["", " ", "\n", " x", "}", ",{}"][tail as usize]);
+            let want = Json::parse(&doc).map(|j| match j {
+                Json::Obj(ms) => ms,
+                _ => Vec::new(),
+            });
+            crate::prop_assert_eq!(read_members(&doc), want, "{}", doc);
+        }
+    }
+
+    #[test]
+    fn member_reader_borrows_escape_free_strings_and_reads_non_objects_empty() {
+        let doc = r#"{"event":"predict","id":7,"lane":"urg\u0065nt","job":{"a":[1]}}"#;
+        let mut r = Members::new(doc).unwrap();
+        let (k, v) = r.next_member().unwrap().unwrap();
+        assert!(matches!(k, Cow::Borrowed("event")));
+        assert!(matches!(v, JsonRef::Str(Cow::Borrowed("predict"))));
+        assert_eq!(r.next_member().unwrap().unwrap().1, JsonRef::Int(7));
+        let (_, lane) = r.next_member().unwrap().unwrap();
+        assert!(matches!(lane, JsonRef::Str(Cow::Owned(ref s)) if s == "urgent"));
+        let (_, job) = r.next_member().unwrap().unwrap();
+        assert_eq!(job.into_json(), Json::parse(r#"{"a":[1]}"#).unwrap());
+        assert!(r.next_member().unwrap().is_none());
+        for doc in ["[1,2]", " 42 ", "\"s\"", "null", "{}"] {
+            assert_eq!(read_members(doc), Ok(Vec::new()), "{doc}");
+        }
+        let deep = format!("{{\"a\":{}{}}}", "[".repeat(200), "]".repeat(200));
+        assert_eq!(read_members(&deep), Err(JsonError::new("nesting too deep")));
+    }
+
+    /// The float rule as the tree writer stated it before [`write_number`]
+    /// existed: `to_string`, then `.0` unless a `.` or exponent shows.
+    fn float_reference(x: f64) -> String {
+        if !x.is_finite() {
+            return "null".into();
+        }
+        let mut s = x.to_string();
+        if !s.contains(['.', 'e', 'E']) {
+            s.push_str(".0");
+        }
+        s
+    }
+
+    fn number_text(n: Number) -> String {
+        let mut s = String::new();
+        write_number(&mut s, n).unwrap();
+        s
+    }
+
+    crate::proptest_lite! {
+        // Every f64 and every f32 (widened) writes as the reference rule
+        // does: NaN/inf, signed zeros, subnormals and huge integral values
+        // included.
+        #[cases(2000)]
+        fn write_number_matches_the_reference_float_rule(bits in 0u64..u64::MAX) {
+            let x = f64::from_bits(bits);
+            crate::prop_assert_eq!(number_text(Number::Float(x)), float_reference(x));
+            let y = f32::from_bits(bits as u32) as f64;
+            crate::prop_assert_eq!(number_text(Number::Float(y)), float_reference(y));
+        }
+    }
+
+    #[test]
+    fn write_number_edge_cases() {
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            -42.0,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f32::MAX as f64,
+            f32::from_bits(1) as f64,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(number_text(Number::Float(x)), float_reference(x), "{x:e}");
+        }
+        assert_eq!(number_text(Number::Float(-0.0)), "-0.0");
+        assert_eq!(number_text(Number::Int(i128::MIN)), i128::MIN.to_string());
+        assert_eq!(
+            number_text(Number::Int(u64::MAX as i128)),
+            "18446744073709551615"
+        );
+    }
+
+    #[test]
+    fn byte_writer_matches_display() {
+        let v = Json::parse(r#"{"k\n":[1,2.5,null,"\u0001\"x",{"y":-0.0}]}"#).unwrap();
+        let mut bytes = Vec::new();
+        fmt::Write::write_fmt(&mut ByteWriter(&mut bytes), format_args!("{v}")).unwrap();
+        assert_eq!(String::from_utf8(bytes).unwrap(), v.to_string());
+        assert_eq!(
+            v.to_string(),
+            r#"{"k\n":[1,2.5,null,"\u0001\"x",{"y":-0.0}]}"#
+        );
     }
 
     /// Bytes the string scanner examines while parsing `doc`.
