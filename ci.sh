@@ -202,6 +202,37 @@ grep -v '"event":"metrics"' "$sh_tmp/combined.ndjson" > "$sh_tmp/got.events"
 cmp "$sh_tmp/ref.events" "$sh_tmp/got.events"
 rm -rf "$sh_tmp"
 
+# One TCP transport, wire-identical to stdin: the same replay script served
+# over `--listen` (the poll(2) reactor, with no --reactor flag) and over
+# --stdin must get byte-identical responses, metrics dumps aside (latency
+# histograms legitimately differ). bash provides the /dev/tcp client.
+tcp_tmp=$(mktemp -d)
+./target/release/trout simulate --jobs 80 --seed 11 --out "$tcp_tmp/trace.csv"
+./target/release/trout events --trace "$tcp_tmp/trace.csv" --predict-every 4 \
+    --out "$tcp_tmp/events.ndjson"
+./target/release/trout serve --bootstrap 300 --seed 7 --shards 2 --stdin \
+    < "$tcp_tmp/events.ndjson" > "$tcp_tmp/stdin.ndjson"
+./target/release/trout serve --bootstrap 300 --seed 7 --shards 2 \
+    --listen 127.0.0.1:29474 &
+tcp_pid=$!
+for _ in $(seq 1 100); do
+    ./target/release/trout replicate --connect 127.0.0.1:29474 --json \
+        > /dev/null 2>&1 && break
+    sleep 0.1
+done
+# The script ends in shutdown, so the daemon closes the connection after
+# the last response and the read side sees EOF.
+bash -c "exec 3<>/dev/tcp/127.0.0.1/29474
+cat '$tcp_tmp/events.ndjson' >&3
+cat <&3 > '$tcp_tmp/tcp.ndjson'"
+kill "$tcp_pid"
+wait "$tcp_pid" || true
+test "$(wc -l < "$tcp_tmp/events.ndjson")" -eq "$(wc -l < "$tcp_tmp/tcp.ndjson")"
+grep -v '"event":"metrics"' "$tcp_tmp/stdin.ndjson" > "$tcp_tmp/stdin.events"
+grep -v '"event":"metrics"' "$tcp_tmp/tcp.ndjson" > "$tcp_tmp/tcp.events"
+cmp "$tcp_tmp/stdin.events" "$tcp_tmp/tcp.events"
+rm -rf "$tcp_tmp"
+
 # Replication smoke: a leader daemon streams its journals to a follower
 # started from the same bootstrap, the follower serves read-only while
 # streaming, the leader is SIGKILLed, and the promoted follower must answer

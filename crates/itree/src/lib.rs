@@ -15,9 +15,6 @@
 //! * [`ChunkedIntervalIndex`] — the paper's chunked build (fixed-size chunks
 //!   with overlap, results merged and de-duplicated), useful for streaming
 //!   construction and as the subject of the A6 ablation.
-//! * [`DynamicIntervalTree`] — a mutable treap with `O(log n)` insert and
-//!   delete, backing the online serving path where jobs enter and leave the
-//!   pending/running sets one event at a time.
 //! * [`NaiveIndex`] — an `O(n)`-per-query linear scan used as the correctness
 //!   oracle in tests and the baseline in the interval-tree speedup benchmark.
 //!
@@ -38,13 +35,11 @@
 //! ```
 
 mod chunked;
-mod dynamic;
 mod interval;
 mod naive;
 mod tree;
 
 pub use chunked::ChunkedIntervalIndex;
-pub use dynamic::DynamicIntervalTree;
 pub use interval::Interval;
 pub use naive::NaiveIndex;
 pub use tree::IntervalTree;

@@ -5,7 +5,7 @@
 //! case prints its seed and shrunk input plus a `TROUT_PROPTEST_SEED=...`
 //! reproduction line.
 
-use trout_itree::{ChunkedIntervalIndex, DynamicIntervalTree, Interval, IntervalTree, NaiveIndex};
+use trout_itree::{ChunkedIntervalIndex, Interval, IntervalTree, NaiveIndex};
 use trout_std::proptest_lite::{vec_of, Strategy};
 use trout_std::{prop_assert_eq, proptest_lite};
 
@@ -77,55 +77,6 @@ proptest_lite! {
         let naive = NaiveIndex::new(entries);
         let q = Interval::new(qs, qs + qlen);
         prop_assert_eq!(chunked.count_overlaps(q), naive.count_overlaps(q));
-    }
-
-    // The dynamic treap must agree with a Vec model under arbitrary
-    // interleaved inserts and removes — the invariant the live serving
-    // path leans on when jobs move between pending and running.
-    #[cases(192)]
-    fn dynamic_tree_matches_model_under_churn(
-        raw in arb_intervals(48),
-        remove_every in 2usize..6,
-        qs in -1_200i64..1_200,
-        qlen in 0i64..300
-    ) {
-        let entries = to_entries(&raw);
-        let mut tree: DynamicIntervalTree<i64, usize> = DynamicIntervalTree::new();
-        let mut model: Vec<(Interval<i64>, usize)> = Vec::new();
-        let q = Interval::new(qs, qs + qlen);
-        for (i, &(iv, v)) in entries.iter().enumerate() {
-            tree.insert(iv, v);
-            model.push((iv, v));
-            if i % remove_every == remove_every - 1 {
-                // Remove the entry inserted `remove_every` steps ago.
-                let (riv, rv) = model.remove(model.len() / 2);
-                prop_assert_eq!(tree.remove(riv, &rv), true, "remove {:?}", riv);
-            }
-            prop_assert_eq!(tree.len(), model.len());
-            let expect = model.iter().filter(|(iv, _)| iv.overlaps(&q)).count();
-            prop_assert_eq!(tree.count_overlaps(q), expect);
-        }
-        // Drain fully: every remaining entry must be removable exactly once.
-        for (iv, v) in model {
-            prop_assert_eq!(tree.remove(iv, &v), true);
-            prop_assert_eq!(tree.remove(iv, &v), false);
-        }
-        prop_assert_eq!(tree.len(), 0);
-    }
-
-    #[cases(128)]
-    fn dynamic_tree_visit_order_is_sorted(raw in arb_intervals(40)) {
-        let mut tree: DynamicIntervalTree<i64, usize> = DynamicIntervalTree::new();
-        for (iv, v) in to_entries(&raw) {
-            tree.insert(iv, v);
-        }
-        let mut keys: Vec<(i64, i64, usize)> = Vec::new();
-        tree.for_each_overlap(Interval::new(i64::MIN / 2, i64::MAX / 2), |iv, &v| {
-            keys.push((iv.start, iv.end, v));
-        });
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(keys, sorted);
     }
 
     #[cases(256)]

@@ -90,7 +90,7 @@ SUBCOMMANDS:
               --trace FILE [--trials N]
   serve       online prediction daemon (ndjson over stdin/stdout or TCP)
               (--model MODEL.json --trace FILE | --bootstrap JOBS)
-              [--stdin | --listen ADDR [--reactor [--reactor-threads N]]]
+              [--stdin | --listen ADDR [--reactor-threads N]]
               [--shards N] [--batch N] [--refit-every N]
               [--state-dir DIR [--recover] [--snapshot-every N]
                [--fsync-every N] [--compact]]   crash-safe journaling +
@@ -98,8 +98,9 @@ SUBCOMMANDS:
               [--replicate-listen ADDR]   leader: stream journals to followers
               [--follow ADDR]   hot standby: replay the leader's stream,
               serve read-only, promote via {{\"event\":\"promote\"}}
-              --shards N routes predicts across N engines; --reactor swaps
-              thread-per-connection for a poll(2) event loop
+              --shards N routes predicts across N engines; --listen serves
+              TCP on a poll(2) reactor (--reactor is accepted and ignored,
+              kept only for compatibility)
   events      flatten a trace into a submit/start/end ndjson replay script
               --trace FILE [--out FILE] [--predict-every N]
   metrics     dump a running daemon's metrics registry

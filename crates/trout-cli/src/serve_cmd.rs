@@ -9,9 +9,10 @@ use trout_core::error::{Result, TroutError};
 use trout_core::online::OnlineConfig;
 use trout_core::TroutConfig;
 use trout_obs::log_info;
+use trout_serve::reactor::resolve_threads;
 use trout_serve::{
-    replay_script, run_follower, run_reactor, run_stdin, run_tcp, spawn_replication_listener,
-    ReactorConfig, ServeConfig, ShardSet,
+    replay_script, run_follower, run_reactor, run_stdin, spawn_replication_listener, ReactorConfig,
+    ServeConfig, ShardSet,
 };
 use trout_std::json::Json;
 
@@ -19,7 +20,7 @@ use crate::args::Options;
 use crate::commands::{load_model, load_trace};
 
 /// `trout serve (--model MODEL.json --trace FILE | --bootstrap JOBS)
-///              [--stdin | --listen ADDR [--reactor [--reactor-threads N]]]
+///              [--stdin | --listen ADDR [--reactor-threads N]]
 ///              [--shards N] [--batch N] [--refit-every N] [--infer-f32]
 ///              [--deadline-ms N] [--urgent-deadline-ms N]
 ///              [--batch-deadline-ms N] [--est-predict-us N]
@@ -33,9 +34,10 @@ use crate::commands::{load_model, load_trace};
 ///
 /// `--shards N` runs N independent engines: lifecycle events broadcast to
 /// every shard, predicts route by `hash(job_id) % N`, and the wire protocol
-/// is unchanged. `--reactor` swaps the listener's thread-per-connection
-/// transport for the `poll(2)` event loop (`--reactor-threads`, default
-/// auto), multiplexing many connections per thread.
+/// is unchanged. A TCP listener is served by the `poll(2)` reactor, which
+/// multiplexes many connections per thread (`--reactor-threads`, default
+/// auto). `--reactor`, which once selected it over a thread-per-connection
+/// transport, is still accepted and ignored, for compatibility only.
 ///
 /// The scheduler flags tune the v2 predict SLO layer (DESIGN §12):
 /// `--deadline-ms` / `--urgent-deadline-ms` / `--batch-deadline-ms` set the
@@ -239,30 +241,17 @@ pub fn serve(opts: &Options) -> Result<()> {
                 );
                 std::thread::spawn(move || run_follower(&s, &dir, &faddr))
             });
-            if opts.has("reactor") {
-                let threads: usize = opts.get_or("reactor-threads", 0)?;
-                log_info!(
-                    "serve",
-                    "listening on {addr} (reactor transport, {} thread(s))",
-                    if threads == 0 {
-                        "auto".to_string()
-                    } else {
-                        threads.to_string()
-                    }
-                );
-                run_reactor(
-                    shards,
-                    listener,
-                    ReactorConfig {
-                        threads,
-                        batch_max: batch,
-                        max_conns: None,
-                    },
-                )
-            } else {
-                log_info!("serve", "listening on {addr}");
-                run_tcp(shards, listener, batch, None)
-            }
+            let threads = resolve_threads(opts.get_or("reactor-threads", 0)?);
+            log_info!("serve", "listening on {addr} ({threads} reactor thread(s))");
+            run_reactor(
+                shards,
+                listener,
+                ReactorConfig {
+                    threads,
+                    batch_max: batch,
+                    max_conns: None,
+                },
+            )
         }
         None if replicate_listen.is_some() || follow.is_some() => Err(TroutError::Config(
             "replication needs --listen ADDR: followers ack over TCP and \

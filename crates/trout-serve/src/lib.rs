@@ -14,13 +14,13 @@
 //!   events broadcast (each shard keeps a full, cheap index replica), the
 //!   expensive predicts route by `hash(job_id) % N`, and per-shard journals
 //!   recover independently.
-//! * [`server`] — the blocking transports (stdin, thread-per-connection
-//!   TCP) and the micro-batching session loop that coalesces back-to-back
-//!   predicts into one forward pass per shard.
+//! * [`server`] — the stdin transport and the blocking, micro-batching
+//!   session loop that coalesces back-to-back predicts into one forward
+//!   pass per shard.
 //! * [`router::RouterSession`] — per-client request routing: splits a mixed
 //!   ndjson batch by shard, fans out, and re-pairs responses positionally
 //!   so the wire protocol cannot tell how many shards answer it.
-//! * [`reactor`] — the event-driven TCP transport: `poll(2)` readiness over
+//! * [`reactor`] — the TCP transport: `poll(2)` readiness over
 //!   nonblocking sockets (via [`trout_std::evloop`]), multiplexing many
 //!   connections per thread with per-connection write backpressure.
 //! * [`scheduler`] — the SLO layer behind the v2 predict envelope: latency
@@ -74,11 +74,11 @@ pub use protocol::{
     parse_event, trace_id_str, trace_record_json, trace_response, ClientEvent, MetricsFormat,
     DEFAULT_TRACE_LAST,
 };
-pub use reactor::{run_reactor, ReactorConfig};
+pub use reactor::{run_reactor, AcceptBackoff, AcceptDisposition, ReactorConfig};
 pub use recover::RecoveryReport;
 pub use replay::replay_script;
 pub use replicate::{run_follower, spawn_replication_listener, ReplicationListener};
 pub use router::RouterSession;
 pub use scheduler::{AdmissionControl, SchedulerConfig};
-pub use server::{run_session, run_stdin, run_tcp, AcceptBackoff, AcceptDisposition};
+pub use server::{run_session, run_stdin};
 pub use shard::{shard_dir, shard_of, ShardSet};

@@ -104,11 +104,11 @@ pub struct ServeMetrics {
     pub recovery_replayed_events: Counter,
     /// TCP sessions accepted over the daemon's lifetime.
     pub sessions_total: Counter,
-    /// TCP session threads currently tracked (updated at each accept, after
-    /// reaping finished handles).
+    /// TCP connections accepted and not yet dropped by their reactor
+    /// thread.
     pub sessions_live: Gauge,
-    /// High-water mark of `sessions_live` — the regression guard against
-    /// the unbounded JoinHandle growth bug.
+    /// High-water mark of `sessions_live` — the guard that finished
+    /// connections are counted out.
     pub sessions_live_peak: Gauge,
     /// Transient accept failures survived (ECONNABORTED and friends — the
     /// connection was lost before the listener could hand it over).

@@ -1,8 +1,8 @@
 //! The router session: one client's request stream against a [`ShardSet`].
 //!
-//! Every transport (stdin, thread-per-connection TCP, the reactor) drives a
-//! [`RouterSession`] per client. The session queues predicts into per-shard
-//! queues, remembering each query's **position** in the coalesced window; a
+//! Both transports (stdin and the TCP reactor) drive a [`RouterSession`]
+//! per client. The session queues predicts into per-shard queues,
+//! remembering each query's **position** in the coalesced window; a
 //! flush fans out one `predict_batch` per non-empty shard queue and re-pairs
 //! the results positionally, so the client sees exactly one response line
 //! per request line, in request order — the wire protocol cannot tell how

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use trout_features::incremental::{trace_events, ReplayEvent};
 use trout_serve::protocol::job_to_json;
-use trout_serve::{run_session, run_tcp, ServeConfig, ServeEngine, ShardSet};
+use trout_serve::{run_reactor, run_session, ReactorConfig, ServeConfig, ServeEngine, ShardSet};
 use trout_slurmsim::{SimulationBuilder, Trace};
 use trout_std::json::Json;
 
@@ -291,7 +291,17 @@ fn tcp_session_serves_a_connection() {
     let shared = Arc::new(ShardSet::single(engine()));
     let server = {
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || run_tcp(shared, listener, 16, Some(1)))
+        std::thread::spawn(move || {
+            run_reactor(
+                shared,
+                listener,
+                ReactorConfig {
+                    threads: 1,
+                    batch_max: 16,
+                    max_conns: Some(1),
+                },
+            )
+        })
     };
 
     let live = SimulationBuilder::anvil_like().jobs(60).seed(12).run();

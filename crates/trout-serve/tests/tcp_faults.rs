@@ -1,55 +1,32 @@
-//! TCP fault-injection tests: misbehaving clients — disconnects mid-batch,
-//! half-open sockets, malformed floods, abrupt session ends, slow-loris
-//! readers — must not take the daemon down, must not starve other sessions,
-//! and must show up in the per-class error metrics. Covers both transports:
-//! the blocking thread-per-connection server and the nonblocking `poll(2)`
-//! reactor (where all faulty connections share ONE reactor thread). Also
-//! the regression guard for the session JoinHandle leak: a daemon serving
-//! many sequential clients must reap finished session threads instead of
-//! accumulating one handle per connection forever, the guard that a
-//! reactor answers a lone predict without holding it for its deadline, and
-//! the guard that a line of invalid UTF-8 is answered, not fatal, on both
-//! transports.
+//! TCP fault-injection tests against the `poll(2)` reactor: misbehaving
+//! clients — disconnects mid-batch, half-open sockets, malformed floods,
+//! abrupt session ends, slow-loris readers — must not take the daemon down,
+//! must not starve other connections sharing ONE reactor thread, and must
+//! show up in the per-class error metrics. Also the guard that the live
+//! connection gauge returns to zero across many sequential clients, the
+//! guard that a reactor answers a lone predict without holding it for its
+//! deadline, and the guard that a line of invalid UTF-8 is answered, not
+//! fatal, on both transports (the reactor and the stdin session loop).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
-use trout_serve::{run_reactor, run_tcp, ReactorConfig, ServeConfig, ServeEngine, ShardSet};
+use trout_serve::{run_reactor, run_session, ReactorConfig, ServeConfig, ShardSet};
 use trout_std::json::Json;
 
-fn engine() -> ServeEngine {
-    ServeEngine::bootstrap(
-        120,
-        &ServeConfig {
-            refit_every: 0,
-            seed: 3,
-            ..Default::default()
-        },
-    )
-}
-
-fn spawn_server(
-    max_conns: usize,
-) -> (
-    std::net::SocketAddr,
-    std::thread::JoinHandle<()>,
-    Arc<ShardSet>,
-) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let shared = Arc::new(ShardSet::single(engine()));
-    let server = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            run_tcp(shared, listener, 16, Some(max_conns)).unwrap();
-        })
+/// `n_shards` engines bootstrapped from the same small simulation.
+fn shard_set(n_shards: usize) -> ShardSet {
+    let cfg = ServeConfig {
+        refit_every: 0,
+        seed: 3,
+        ..Default::default()
     };
-    (addr, server, shared)
+    ShardSet::bootstrap(n_shards, 120, &cfg)
 }
 
-/// Reactor-transport twin of `spawn_server`: `n_shards` engines behind a
-/// single-threaded reactor, so every fault shares one event loop.
+/// `n_shards` engines behind a single-threaded reactor, so every fault
+/// shares one event loop.
 fn spawn_reactor(
     n_shards: usize,
     max_conns: usize,
@@ -60,12 +37,7 @@ fn spawn_reactor(
 ) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let cfg = ServeConfig {
-        refit_every: 0,
-        seed: 3,
-        ..Default::default()
-    };
-    let shared = Arc::new(ShardSet::bootstrap(n_shards, 120, &cfg));
+    let shared = Arc::new(shard_set(n_shards));
     let server = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || {
@@ -155,16 +127,15 @@ fn errors_by_class_summed(shards: &ShardSet) -> Vec<u64> {
         .collect()
 }
 
-/// Regression test for the JoinHandle leak: `run_tcp` used to push one
-/// handle per accepted connection and never reap it until exit, so a
-/// long-lived daemon's handle list grew without bound. With reaping on each
-/// accept, N sequential (non-overlapping) sessions keep the live-handle
-/// count — tracked by the `sessions_live` gauge updated after each reap —
-/// bounded by a small constant instead of reaching N.
+/// Live-connection accounting: the acceptor counts each connection into the
+/// `sessions_live` gauge before handing it to a reactor thread, and that
+/// thread counts it out when it drops the finished connection. N sequential
+/// (non-overlapping) sessions must keep the gauge's peak bounded by a small
+/// constant instead of reaching N, and leave it at zero once drained.
 #[test]
 fn sequential_sessions_keep_the_live_handle_count_bounded() {
     const SESSIONS: usize = 12;
-    let (addr, server, shared) = spawn_server(SESSIONS);
+    let (addr, server, shared) = spawn_reactor(1, SESSIONS);
     for _ in 0..SESSIONS {
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.write_all(b"{\"event\":\"shutdown\"}\n").unwrap();
@@ -174,8 +145,8 @@ fn sequential_sessions_keep_the_live_handle_count_bounded() {
             .unwrap();
         assert!(line.contains("\"ok\":true"), "{line}");
         drop(conn);
-        // Give the session thread a beat to finish so the next accept's
-        // reap actually observes it done.
+        // Give the reactor a beat to drop the finished connection before
+        // the next one is accepted.
         std::thread::sleep(std::time::Duration::from_millis(15));
     }
     server.join().unwrap();
@@ -184,115 +155,15 @@ fn sequential_sessions_keep_the_live_handle_count_bounded() {
     assert_eq!(m.sessions_live.get(), 0.0, "all sessions drained at exit");
     assert!(
         m.sessions_live_peak.get() <= 3.0,
-        "live-handle peak {} for {SESSIONS} sequential sessions — handles are not being reaped",
+        "live-connection peak {} for {SESSIONS} sequential sessions — closed connections are not counted out",
         m.sessions_live_peak.get()
     );
 }
 
-#[test]
-fn faulty_clients_are_isolated_and_counted() {
-    let (addr, server, shared) = spawn_server(4);
-
-    // Fault 1: a half-open socket — connects, sends nothing, just sits
-    // there holding its session thread. Held open until the end to prove
-    // it never blocks anyone else.
-    let half_open = TcpStream::connect(addr).unwrap();
-
-    // Fault 2: a malformed-line flood. Every line gets an error response;
-    // the session survives to a clean shutdown.
-    {
-        let mut conn = TcpStream::connect(addr).unwrap();
-        let mut flood = String::new();
-        for i in 0..40 {
-            flood.push_str(&format!("not json at all #{i}\n"));
-        }
-        flood.push_str("{\"event\":\"shutdown\"}\n");
-        conn.write_all(flood.as_bytes()).unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        let mut line = String::new();
-        for i in 0..41 {
-            line.clear();
-            assert!(reader.read_line(&mut line).unwrap() > 0, "line {i}");
-            let j = Json::parse(&line).unwrap();
-            let expect_ok = i == 40; // only the shutdown ack succeeds
-            assert_eq!(j.get("ok"), Some(&Json::Bool(expect_ok)), "{line}");
-        }
-    }
-
-    // Fault 3: disconnect mid-batch — floods predicts for unknown jobs and
-    // slams the connection shut without reading a single response. The
-    // session thread hits a write error once the peer resets and must
-    // record it instead of vanishing silently.
-    {
-        let mut conn = TcpStream::connect(addr).unwrap();
-        let mut burst = String::new();
-        for id in 0..2_000u64 {
-            burst.push_str(&format!(
-                "{{\"event\":\"predict\",\"id\":{id},\"time\":0}}\n"
-            ));
-        }
-        let _ = conn.write_all(burst.as_bytes());
-        drop(conn); // abrupt end, responses unread
-    }
-
-    // A well-behaved client connects *after* all that and still gets
-    // served: submit one job, predict it, shut down.
-    {
-        let mut conn = TcpStream::connect(addr).unwrap();
-        let job = "{\"event\":\"submit\",\"job\":{\"id\":9001,\"user\":7,\"partition\":0,\
-                   \"submit_time\":1000,\"req_cpus\":8,\"req_mem_gb\":16,\"req_nodes\":1,\
-                   \"timelimit_min\":30}}\n";
-        conn.write_all(job.as_bytes()).unwrap();
-        conn.write_all(b"{\"event\":\"predict\",\"id\":9001,\"time\":1200}\n")
-            .unwrap();
-        conn.write_all(b"{\"event\":\"shutdown\"}\n").unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        let mut lines = Vec::new();
-        let mut line = String::new();
-        for _ in 0..3 {
-            line.clear();
-            assert!(reader.read_line(&mut line).unwrap() > 0);
-            lines.push(line.clone());
-        }
-        let pred = Json::parse(&lines[1]).unwrap();
-        assert_eq!(
-            pred.get("ok"),
-            Some(&Json::Bool(true)),
-            "the healthy session still gets predictions: {}",
-            lines[1]
-        );
-        assert!(pred.get("quick_proba").is_some());
-    }
-
-    // Release the half-open socket so its session sees EOF and the server
-    // can drain.
-    drop(half_open);
-    server.join().unwrap();
-
-    let m = &shared.lock(0).metrics;
-    let by: Vec<u64> = m.errors_by_class.iter().map(|c| c.get()).collect();
-    // ERROR_CLASSES order: io, parse, config, model, protocol, poisoned.
-    assert!(
-        by[1] >= 40,
-        "the malformed flood is counted as parse errors"
-    );
-    assert!(
-        by[4] >= 1,
-        "unknown-job predicts are counted as protocol errors"
-    );
-    assert!(
-        by[0] >= 1,
-        "the mid-batch disconnect surfaces as a recorded io error (got {by:?})"
-    );
-    assert_eq!(m.sessions_total.get(), 4);
-    assert_eq!(m.sessions_live.get(), 0.0);
-}
-
-/// The reactor twin of `faulty_clients_are_isolated_and_counted`, with the
-/// screws tightened: every connection shares ONE reactor thread, so a
-/// half-open socket that stalls mid-line readiness, a malformed flood, and
-/// an abrupt mid-batch disconnect are all multiplexed together — and none
-/// of them may stall the healthy client. The half-open connection finishes
+/// Faulty clients are isolated and counted. Every connection shares ONE
+/// reactor thread, so a half-open socket that stalls mid-line readiness, a
+/// malformed flood, and an abrupt mid-batch disconnect are all multiplexed
+/// together — and none of them may stall the healthy client. The half-open connection finishes
 /// its partial line *after* everything else and must still be answered: a
 /// stalled line is pending input, not an error.
 #[test]
@@ -559,29 +430,35 @@ fn reactor_answers_a_lone_slack_deadline_predict_without_holding_it() {
     server.join().unwrap();
 }
 
-/// One submit, then a predict line broken by invalid UTF-8 bytes, then a
-/// valid predict of the submitted job, then shutdown. Returns every
-/// response line the server sent before closing.
+const SUBMIT_9001: &str = "{\"event\":\"submit\",\"job\":{\"id\":9001,\"user\":7,\"partition\":0,\
+                           \"submit_time\":1000,\"req_cpus\":8,\"req_mem_gb\":16,\"req_nodes\":1,\
+                           \"timelimit_min\":30}}\n";
+
+/// A predict line broken by invalid UTF-8 bytes, then a valid predict of
+/// the job [`SUBMIT_9001`] submits, then shutdown.
+fn invalid_utf8_tail() -> Vec<u8> {
+    let mut tail = b"{\"event\":\"predict\",".to_vec();
+    tail.extend_from_slice(&[0xFF, 0xFE, 0xFF]);
+    tail.extend_from_slice(b"}\n");
+    tail.extend_from_slice(b"{\"v\":2,\"event\":\"predict\",\"id\":9001,\"time\":1200}\n");
+    tail.extend_from_slice(b"{\"event\":\"shutdown\"}\n");
+    tail
+}
+
+/// Sends [`SUBMIT_9001`], waits for its ack, then sends
+/// [`invalid_utf8_tail`]. Returns every response line the server sent
+/// after the ack, before closing.
 fn invalid_utf8_exchange(addr: std::net::SocketAddr) -> Vec<String> {
     let mut conn = TcpStream::connect(addr).unwrap();
     conn.set_read_timeout(Some(std::time::Duration::from_secs(30)))
         .unwrap();
     let mut reader = BufReader::new(conn.try_clone().unwrap());
-    let job = "{\"event\":\"submit\",\"job\":{\"id\":9001,\"user\":7,\"partition\":0,\
-               \"submit_time\":1000,\"req_cpus\":8,\"req_mem_gb\":16,\"req_nodes\":1,\
-               \"timelimit_min\":30}}\n";
-    conn.write_all(job.as_bytes()).unwrap();
+    conn.write_all(SUBMIT_9001.as_bytes()).unwrap();
     let mut ack = String::new();
     reader.read_line(&mut ack).unwrap();
     assert!(ack.contains("\"ok\":true"), "submit acked: {ack}");
 
-    let mut bad = b"{\"event\":\"predict\",".to_vec();
-    bad.extend_from_slice(&[0xFF, 0xFE, 0xFF]);
-    bad.extend_from_slice(b"}\n");
-    conn.write_all(&bad).unwrap();
-    conn.write_all(b"{\"v\":2,\"event\":\"predict\",\"id\":9001,\"time\":1200}\n")
-        .unwrap();
-    conn.write_all(b"{\"event\":\"shutdown\"}\n").unwrap();
+    conn.write_all(&invalid_utf8_tail()).unwrap();
     let mut lines = Vec::new();
     loop {
         let mut line = String::new();
@@ -593,28 +470,41 @@ fn invalid_utf8_exchange(addr: std::net::SocketAddr) -> Vec<String> {
     lines
 }
 
+/// The answers to [`invalid_utf8_tail`]: a parse error, the prediction,
+/// the shutdown ack.
+fn assert_invalid_utf8_answers(transport: &str, lines: &[String]) {
+    assert_eq!(
+        lines.len(),
+        3,
+        "{transport}: a parse error, the prediction, the shutdown ack: {lines:?}"
+    );
+    let err = Json::parse(&lines[0]).unwrap();
+    assert_eq!(err.get("ok"), Some(&Json::Bool(false)), "{transport}");
+    match err.get("error") {
+        Some(Json::Str(msg)) => assert!(msg.starts_with("parse"), "{transport}: {msg}"),
+        other => panic!("{transport}: bad error member {other:?}"),
+    }
+    let pred = Json::parse(&lines[1]).unwrap();
+    assert_eq!(pred.get("ok"), Some(&Json::Bool(true)), "{transport}");
+    assert_eq!(pred.get("id"), Some(&Json::Int(9001)), "{transport}");
+    assert!(lines[2].contains("\"event\":\"shutdown\""), "{transport}");
+}
+
 #[test]
 fn invalid_utf8_line_is_answered_not_fatal_on_both_transports() {
-    let (tcp_addr, tcp_server, _tcp_shared) = spawn_server(1);
-    let (reactor_addr, reactor_server, _reactor_shared) = spawn_reactor(2, 1);
-    for (transport, addr) in [("run_tcp", tcp_addr), ("reactor", reactor_addr)] {
-        let lines = invalid_utf8_exchange(addr);
-        assert_eq!(
-            lines.len(),
-            3,
-            "{transport}: a parse error, the prediction, the shutdown ack: {lines:?}"
-        );
-        let err = Json::parse(&lines[0]).unwrap();
-        assert_eq!(err.get("ok"), Some(&Json::Bool(false)), "{transport}");
-        match err.get("error") {
-            Some(Json::Str(msg)) => assert!(msg.starts_with("parse"), "{transport}: {msg}"),
-            other => panic!("{transport}: bad error member {other:?}"),
-        }
-        let pred = Json::parse(&lines[1]).unwrap();
-        assert_eq!(pred.get("ok"), Some(&Json::Bool(true)), "{transport}");
-        assert_eq!(pred.get("id"), Some(&Json::Int(9001)), "{transport}");
-        assert!(lines[2].contains("\"event\":\"shutdown\""), "{transport}");
-    }
-    tcp_server.join().unwrap();
-    reactor_server.join().unwrap();
+    let (addr, server, _shared) = spawn_reactor(2, 1);
+    assert_invalid_utf8_answers("reactor", &invalid_utf8_exchange(addr));
+    server.join().unwrap();
+
+    // The stdin transport's line reader, over an in-memory byte slice.
+    let shards = shard_set(2);
+    let mut input = SUBMIT_9001.as_bytes().to_vec();
+    input.extend_from_slice(&invalid_utf8_tail());
+    let mut out = Vec::new();
+    run_session(&shards, &input[..], &mut out, 16).unwrap();
+    let text = String::from_utf8(out).unwrap();
+    let mut lines: Vec<String> = text.lines().map(|l| format!("{l}\n")).collect();
+    let ack = lines.remove(0);
+    assert!(ack.contains("\"ok\":true"), "submit acked: {ack}");
+    assert_invalid_utf8_answers("run_session", &lines);
 }
