@@ -8,6 +8,9 @@ cd "$(dirname "$0")"
 cargo build --workspace --release --offline
 cargo test --workspace -q --offline
 cargo fmt --check
+# Lint gate: deny-level clippy lints (correctness bugs such as always-true
+# comparisons) fail the build; warn-level lints are reported, not fatal.
+cargo clippy --workspace --all-targets -q --offline
 
 # SIMD tier matrix: the linalg kernel suite and the nn_seed7 golden fixture
 # must hold bit-for-bit under every dispatch tier. TROUT_SIMD clamps down to

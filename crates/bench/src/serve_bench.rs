@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use trout_serve::protocol::job_to_json;
-use trout_serve::{run_session, RouterSession, ServeConfig, ServeEngine, ShardSet};
+use trout_serve::{run_session, RouterSession, ServeConfig, ServeEngine, ServeMetrics, ShardSet};
 use trout_slurmsim::{SimulationBuilder, Trace};
 use trout_std::bench::{write_report, Criterion};
 use trout_std::json::Json;
@@ -159,7 +159,13 @@ pub fn bench_serve(c: &mut Criterion) {
             ("shard_sweep".into(), sweep),
             ("offered_load".into(), offered),
             ("backlog_sweep".into(), backlog),
-            ("metrics".into(), engine.metrics.to_json()),
+            (
+                "metrics".into(),
+                ServeMetrics::to_json(
+                    std::slice::from_ref(&engine.metrics),
+                    &engine.drift().totals(),
+                ),
+            ),
         ]);
         write_report("serve", &report);
     }

@@ -37,8 +37,8 @@ use trout_workload::ClusterSpec;
 use trout_std::fsio::atomic_write;
 use trout_std::json::{FromJson, Json, JsonError, ToJson};
 
-use crate::journal::{Durability, Journal, JOURNAL_FILE, SNAPSHOT_FILE};
-use crate::metrics::{ServeMetrics, CONFUSION_CELLS};
+use crate::journal::{snapshot_text, Durability, Journal, JOURNAL_FILE, SNAPSHOT_FILE};
+use crate::metrics::{DriftTotals, ServeMetrics};
 use crate::protocol::{lifecycle_line, predict_line, submit_line};
 use crate::recover::{replay_journal, RecoveryReport};
 
@@ -145,21 +145,13 @@ impl DriftMonitor {
 
     /// Rolling mean absolute error in minutes (0 before any join).
     pub fn mae_min(&self) -> f64 {
-        if self.joined == 0 {
-            0.0
-        } else {
-            self.abs_err_sum / self.joined as f64
-        }
+        self.totals().mae_min()
     }
 
     /// Rolling fraction of joined predictions within 2x (the paper's
     /// within-100 %-error accuracy; 0 before any join).
     pub fn within_2x(&self) -> f64 {
-        if self.joined == 0 {
-            0.0
-        } else {
-            self.within as f64 / self.joined as f64
-        }
+        self.totals().within_2x()
     }
 
     /// Classifier confusion counts in predicted-then-actual order:
@@ -168,16 +160,16 @@ impl DriftMonitor {
         self.confusion
     }
 
-    /// Running sum of absolute errors in minutes (join order). Exposed so a
-    /// shard set can merge per-shard monitors into one fleet-wide MAE:
-    /// `Σ abs_err_sum / Σ joined` weights every joined pair equally.
-    pub fn abs_err_sum(&self) -> f64 {
-        self.abs_err_sum
-    }
-
-    /// Joined predictions within 2x of the realized queue time.
-    pub fn within_count(&self) -> u64 {
-        self.within
+    /// The monitor's running totals — what a shard set pools into one
+    /// fleet-wide drift section.
+    pub fn totals(&self) -> DriftTotals {
+        DriftTotals {
+            joined: self.joined,
+            abs_err_sum: self.abs_err_sum,
+            within: self.within,
+            pending: self.served.len() as u64,
+            confusion: self.confusion,
+        }
     }
 
     /// Closes one prediction/outcome pair and mirrors the rolling state
@@ -207,25 +199,6 @@ impl DriftMonitor {
         metrics.drift_joined_total.inc();
         metrics.drift_mae_min.set(self.mae_min());
         metrics.drift_within_2x.set(self.within_2x());
-    }
-
-    /// The drift section of the metrics dump.
-    pub fn to_json(&self) -> Json {
-        let confusion: Vec<(String, Json)> = CONFUSION_CELLS
-            .iter()
-            .zip(&self.confusion)
-            .map(|(name, &c)| (name.to_string(), Json::Int(c as i128)))
-            .collect();
-        Json::Obj(vec![
-            ("joined".into(), Json::Int(self.joined as i128)),
-            ("mae_min".into(), Json::Num(self.mae_min())),
-            ("within_2x".into(), Json::Num(self.within_2x())),
-            // Before `confusion`: scripted consumers anchor their drift grep
-            // on the confusion object closing the section, and `pending` is
-            // recovery-deterministic state so it joins the compared span.
-            ("pending".into(), Json::Int(self.served.len() as i128)),
-            ("confusion".into(), Json::Obj(confusion)),
-        ])
     }
 
     /// Predictions still awaiting their realized outcome.
@@ -597,26 +570,6 @@ impl ServeEngine {
         &self.drift
     }
 
-    /// The metrics registry as JSON: the serve sections, the drift-monitor
-    /// join state, and the process-wide span histograms.
-    pub fn metrics_json(&self) -> trout_std::json::Json {
-        let mut members = match self.metrics.to_json() {
-            Json::Obj(members) => members,
-            _ => unreachable!("ServeMetrics::to_json returns an object"),
-        };
-        members.push(("drift".into(), self.drift.to_json()));
-        members.push(("spans".into(), trout_obs::global().histograms_json()));
-        Json::Obj(members)
-    }
-
-    /// The same registry in Prometheus text exposition format: the engine's
-    /// own metrics followed by the process-wide span histograms.
-    pub fn metrics_prometheus(&self) -> String {
-        let mut text = self.metrics.to_prometheus();
-        text.push_str(&trout_obs::global().to_prometheus());
-        text
-    }
-
     /// Arms durability against `dir`: every subsequent accepted event is
     /// journaled before it is applied, and a snapshot is written every
     /// `snapshot_every` journal appends (0 = journal only, full replay on
@@ -802,11 +755,8 @@ impl ServeEngine {
         let state = self.state_to_json();
         let d = self.durability.as_mut().expect("checked above");
         d.journal.sync()?;
-        let snap = Json::Obj(vec![
-            ("journal_pos".to_string(), d.journal.appends().to_json()),
-            ("state".to_string(), state),
-        ]);
-        atomic_write(&d.dir.join(SNAPSHOT_FILE), snap.to_string().as_bytes())?;
+        let snap = snapshot_text(d.journal.appends(), state);
+        atomic_write(&d.dir.join(SNAPSHOT_FILE), snap.as_bytes())?;
         d.since_snapshot = 0;
         if d.compact {
             // The snapshot just made durable covers every journal entry, so
@@ -1224,13 +1174,14 @@ mod tests {
 
         // The metrics dump carries drift and span sections, and the
         // Prometheus exposition carries the drift series.
-        let dump = engine.metrics_json();
+        let set = crate::ShardSet::single(engine);
+        let dump = set.metrics_json();
         assert_eq!(
             dump.get("drift").and_then(|d| d.get("joined")),
             Some(&trout_std::json::Json::Int(1))
         );
         assert!(dump.get("spans").is_some());
-        let prom = engine.metrics_prometheus();
+        let prom = set.metrics_prometheus();
         assert!(prom.contains("trout_serve_drift_joined_total 1"));
         assert!(prom.contains("trout_serve_drift_mae_min"));
     }

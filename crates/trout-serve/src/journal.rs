@@ -33,14 +33,22 @@
 //! base line. Positions stay **absolute** across compactions: `appends()`
 //! always counts events since the journal was born, never file lines.
 //!
+//! This module owns both state-dir file formats: [`JournalFile::read`] is
+//! the one reader of a journal file (recovery and the replication leader
+//! both use it), and [`snapshot_text`] / [`parse_snapshot`] are the one
+//! writer/reader pair of the snapshot envelope.
+//!
 //! [`OnlineConfig::journal_fsync_every`]: trout_core::online::OnlineConfig
 
 use std::fs::File;
 use std::io::{self, BufRead};
 use std::path::{Path, PathBuf};
 
-use trout_std::fsio::{append_line, atomic_write, open_append_complete, sync_dir};
-use trout_std::json::Json;
+use trout_core::TroutError;
+use trout_std::fsio::{
+    append_line, atomic_write, open_append_complete, read_complete_lines, sync_dir,
+};
+use trout_std::json::{FromJson, Json, ToJson};
 
 /// Journal file name inside a state dir.
 pub const JOURNAL_FILE: &str = "journal.ndjson";
@@ -81,6 +89,72 @@ pub fn read_base(path: &Path) -> io::Result<u64> {
     let mut first = String::new();
     std::io::BufReader::new(File::open(path)?).read_line(&mut first)?;
     Ok(parse_base_line(first.trim_end()).unwrap_or(0))
+}
+
+/// A journal file as read back from disk.
+#[derive(Debug, Default)]
+pub struct JournalFile {
+    /// The compaction base: `entries[k]` sits at absolute position
+    /// `base + k` (0 for a never-compacted journal).
+    pub base: u64,
+    /// The complete entry lines, base control line excluded.
+    pub entries: Vec<String>,
+    /// Bytes of torn (never acknowledged) final record dropped.
+    pub torn_bytes: u64,
+}
+
+impl JournalFile {
+    /// Reads the journal at `path`, or `None` when it does not exist yet.
+    /// A torn final line is dropped, not returned.
+    pub fn read(path: &Path) -> io::Result<Option<JournalFile>> {
+        if !path.exists() {
+            return Ok(None);
+        }
+        let (mut entries, torn) = read_complete_lines(path)?;
+        let base = match entries.first().and_then(|l| parse_base_line(l)) {
+            Some(base) => {
+                entries.remove(0);
+                base
+            }
+            None => 0,
+        };
+        Ok(Some(JournalFile {
+            base,
+            entries,
+            torn_bytes: torn as u64,
+        }))
+    }
+
+    /// Absolute watermark: compacted events plus entries in the file.
+    pub fn watermark(&self) -> u64 {
+        self.base + self.entries.len() as u64
+    }
+}
+
+/// Renders the snapshot file: `{"journal_pos":N,"state":…}`, where `N` is
+/// the journal watermark the state reflects.
+pub fn snapshot_text(journal_pos: u64, state: Json) -> String {
+    Json::Obj(vec![
+        ("journal_pos".to_string(), journal_pos.to_json()),
+        ("state".to_string(), state),
+    ])
+    .to_string()
+}
+
+/// Parses a snapshot file written by [`snapshot_text`] into
+/// `(journal_pos, state)`.
+pub fn parse_snapshot(text: &str) -> Result<(u64, Json), TroutError> {
+    let snap = Json::parse(text)?;
+    let pos = u64::from_json_field(snap.get("journal_pos"), "snapshot.journal_pos")?;
+    let state = match snap {
+        Json::Obj(members) => members
+            .into_iter()
+            .find_map(|(k, v)| (k == "state").then_some(v)),
+        _ => None,
+    };
+    let state =
+        state.ok_or_else(|| TroutError::Config("snapshot.json has no `state` payload".into()))?;
+    Ok((pos, state))
 }
 
 /// An open append-only event journal.
@@ -268,6 +342,28 @@ mod tests {
         assert_eq!(parse_base_line("{\"event\":\"start\",\"id\":1}"), None);
         assert_eq!(parse_base_line("{\"event\":\"journal_base\"}"), None);
         assert_eq!(parse_base_line("not json journal_base"), None);
+    }
+
+    #[test]
+    fn journal_file_read_strips_the_base_line_and_reports_torn_bytes() {
+        let p = tmp("read");
+        let _ = std::fs::remove_file(&p);
+        assert!(JournalFile::read(&p).unwrap().is_none(), "missing file");
+        std::fs::write(&p, format!("{}\n{{\"a\":1}}\n{{\"to", base_line(7))).unwrap();
+        let j = JournalFile::read(&p).unwrap().unwrap();
+        assert_eq!((j.base, j.torn_bytes, j.watermark()), (7, 4, 8));
+        assert_eq!(j.entries, vec!["{\"a\":1}".to_string()]);
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn snapshot_envelope_round_trips() {
+        let state = Json::Obj(vec![("x".into(), Json::Int(3))]);
+        let text = snapshot_text(42, state.clone());
+        assert_eq!(text, "{\"journal_pos\":42,\"state\":{\"x\":3}}");
+        assert_eq!(parse_snapshot(&text).unwrap(), (42, state));
+        assert!(parse_snapshot("{\"journal_pos\":1}").is_err());
+        assert!(parse_snapshot("{\"state\":{}}").is_err());
     }
 
     #[test]

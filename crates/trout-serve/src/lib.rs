@@ -69,7 +69,7 @@ pub mod shard;
 
 pub use engine::{DriftMonitor, ServeConfig, ServeEngine};
 pub use journal::{Journal, JOURNAL_FILE, SNAPSHOT_FILE};
-pub use metrics::{LogHistogram, ServeMetrics};
+pub use metrics::{DriftTotals, LogHistogram, ServeMetrics};
 pub use protocol::{
     parse_event, trace_id_str, trace_record_json, trace_response, ClientEvent, MetricsFormat,
     DEFAULT_TRACE_LAST,

@@ -9,6 +9,13 @@
 //! sections for the `metrics` request plus Prometheus text exposition via
 //! [`ServeMetrics::to_prometheus`].
 //!
+//! This is the only place metric fields are listed. The JSON writer,
+//! [`ServeMetrics::to_json`], takes every shard's handle set and aggregates
+//! as it writes (counters sum, histograms and burn windows merge,
+//! replication gauges take the max; [`DriftTotals`] pools the drift
+//! monitors), so a 1-shard and an N-shard daemon dump one schema through
+//! one code path.
+//!
 //! Error accounting is broken down by [`TroutError`] class — protocol
 //! garbage from a misbehaving client must be distinguishable from model
 //! failures — while the aggregate `errors` counter stays for backward
@@ -293,71 +300,77 @@ impl ServeMetrics {
         self.record_error(&TroutError::Overloaded { retry_after_ms: 0 });
     }
 
-    /// Serializes the registry in the legacy section layout (the `metrics`
-    /// request's payload; the drift section rides in
-    /// [`ServeEngine::metrics_json`](crate::ServeEngine::metrics_json)).
-    pub fn to_json(&self) -> Json {
-        let burn = self.refresh_burn_gauges();
-        let by_class: Vec<(String, Json)> = ERROR_CLASSES
+    /// The `metrics` response payload for a shard set, given every shard's
+    /// handle set (index order) and the drift monitors' pooled totals.
+    /// Aggregation happens as the sections are written, so one layout
+    /// serves every shard count:
+    ///
+    /// - counters sum, except `state_events`: every shard applies every
+    ///   lifecycle event, so the logical count is read from shard 0;
+    /// - histograms and burn windows merge;
+    /// - the replication gauges take their max across shards.
+    ///
+    /// Over a single shard every rule is the identity, so a 1-shard dump is
+    /// that engine's registry as is. The process-wide span histograms close
+    /// the payload.
+    pub fn to_json(shards: &[ServeMetrics], drift: &DriftTotals) -> Json {
+        let mut burn = BurnSnapshot::default();
+        for m in shards {
+            burn.merge(&m.refresh_burn_gauges());
+        }
+        let by_class = ERROR_CLASSES
             .iter()
-            .zip(&self.errors_by_class)
-            .map(|(name, c)| (name.to_string(), Json::Int(c.get() as i128)))
+            .enumerate()
+            .map(|(k, name)| sum(shards, name, |m| &m.errors_by_class[k]))
             .collect();
+        let state_events = int(shards[0].state_events_total.get());
         Json::Obj(vec![
             (
                 "counters".into(),
                 Json::Obj(vec![
-                    (
-                        "requests".into(),
-                        Json::Int(self.requests_total.get() as i128),
-                    ),
-                    (
-                        "predicts".into(),
-                        Json::Int(self.predicts_total.get() as i128),
-                    ),
-                    (
-                        "batches".into(),
-                        Json::Int(self.batches_total.get() as i128),
-                    ),
-                    (
-                        "state_events".into(),
-                        Json::Int(self.state_events_total.get() as i128),
-                    ),
-                    ("refits".into(), Json::Int(self.refits_total.get() as i128)),
-                    ("errors".into(), Json::Int(self.errors_total.get() as i128)),
-                    (
-                        "journal_appends".into(),
-                        Json::Int(self.journal_appends_total.get() as i128),
-                    ),
-                    (
-                        "snapshots".into(),
-                        Json::Int(self.snapshots_total.get() as i128),
-                    ),
-                    (
-                        "compactions".into(),
-                        Json::Int(self.compactions_total.get() as i128),
-                    ),
-                    (
-                        "recovery_replayed_events".into(),
-                        Json::Int(self.recovery_replayed_events.get() as i128),
-                    ),
-                    (
-                        "sessions".into(),
-                        Json::Int(self.sessions_total.get() as i128),
-                    ),
+                    sum(shards, "requests", |m| &m.requests_total),
+                    sum(shards, "predicts", |m| &m.predicts_total),
+                    sum(shards, "batches", |m| &m.batches_total),
+                    ("state_events".into(), state_events),
+                    sum(shards, "refits", |m| &m.refits_total),
+                    sum(shards, "errors", |m| &m.errors_total),
+                    sum(shards, "journal_appends", |m| &m.journal_appends_total),
+                    sum(shards, "snapshots", |m| &m.snapshots_total),
+                    sum(shards, "compactions", |m| &m.compactions_total),
+                    sum(shards, "recovery_replayed_events", |m| {
+                        &m.recovery_replayed_events
+                    }),
+                    sum(shards, "sessions", |m| &m.sessions_total),
                 ]),
             ),
             ("errors_by_class".into(), Json::Obj(by_class)),
-            ("replication".into(), self.replication_to_json()),
-            ("admission".into(), self.admission_to_json()),
-            ("featurize_us".into(), self.featurize_us.to_json()),
-            ("queue_wait_us".into(), self.queue_wait_us.to_json()),
-            ("inference_us".into(), self.inference_us.to_json()),
-            ("predict_us".into(), self.predict_us.to_json()),
-            ("batch_us".into(), self.batch_us.to_json()),
-            ("batch_size".into(), self.batch_size.to_json()),
-            ("snapshot_write_us".into(), self.snapshot_write_us.to_json()),
+            (
+                "replication".into(),
+                Json::Obj(vec![
+                    max(shards, "followers", |m| &m.replication_followers),
+                    max(shards, "lag_events", |m| &m.replication_lag_events),
+                    max(shards, "lag_peak_events", |m| {
+                        &m.replication_lag_peak_events
+                    }),
+                    sum(shards, "streamed", |m| &m.replication_streamed_total),
+                    sum(shards, "applied", |m| &m.replication_applied_total),
+                    sum(shards, "snapshots_installed", |m| {
+                        &m.replication_snapshots_installed
+                    }),
+                    sum(shards, "compacted_lines", |m| &m.compacted_lines_total),
+                ]),
+            ),
+            ("admission".into(), admission_to_json(shards)),
+            merged(shards, "featurize_us", |m| &m.featurize_us),
+            merged(shards, "queue_wait_us", |m| &m.queue_wait_us),
+            merged(shards, "inference_us", |m| &m.inference_us),
+            merged(shards, "predict_us", |m| &m.predict_us),
+            merged(shards, "batch_us", |m| &m.batch_us),
+            merged(shards, "batch_size", |m| &m.batch_size),
+            merged(shards, "snapshot_write_us", |m| &m.snapshot_write_us),
             ("burn".into(), burn_snapshot_to_json(&burn)),
+            ("drift".into(), drift.to_json()),
+            ("spans".into(), trout_obs::global().histograms_json()),
         ])
     }
 
@@ -374,66 +387,6 @@ impl ServeMetrics {
         snap
     }
 
-    /// The replication section: leader-side follower count and lag, both
-    /// sides' streamed/applied totals, and compaction accounting.
-    fn replication_to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "followers".into(),
-                Json::Int(self.replication_followers.get() as i128),
-            ),
-            (
-                "lag_events".into(),
-                Json::Int(self.replication_lag_events.get() as i128),
-            ),
-            (
-                "lag_peak_events".into(),
-                Json::Int(self.replication_lag_peak_events.get() as i128),
-            ),
-            (
-                "streamed".into(),
-                Json::Int(self.replication_streamed_total.get() as i128),
-            ),
-            (
-                "applied".into(),
-                Json::Int(self.replication_applied_total.get() as i128),
-            ),
-            (
-                "snapshots_installed".into(),
-                Json::Int(self.replication_snapshots_installed.get() as i128),
-            ),
-            (
-                "compacted_lines".into(),
-                Json::Int(self.compacted_lines_total.get() as i128),
-            ),
-        ])
-    }
-
-    /// The scheduler/admission section: per-lane predicts, sheds (plus the
-    /// aggregate `shed_total`), and SLO violations, always in lane-priority
-    /// order so scripted consumers can grep deterministic field order.
-    fn admission_to_json(&self) -> Json {
-        let per_lane = |counters: &[Counter; 3]| {
-            Json::Obj(
-                LANES
-                    .iter()
-                    .zip(counters)
-                    .map(|(l, c)| (l.as_str().to_string(), Json::Int(c.get() as i128)))
-                    .collect(),
-            )
-        };
-        let shed_sum: u64 = self.shed_total.iter().map(|c| c.get()).sum();
-        Json::Obj(vec![
-            ("lane_predicts".into(), per_lane(&self.lane_predicts_total)),
-            ("shed".into(), per_lane(&self.shed_total)),
-            ("shed_total".into(), Json::Int(shed_sum as i128)),
-            (
-                "slo_violations".into(),
-                per_lane(&self.slo_violations_total),
-            ),
-        ])
-    }
-
     /// Prometheus text exposition of the engine registry (burn-rate gauges
     /// refreshed first so scrapes always see current windows).
     pub fn to_prometheus(&self) -> String {
@@ -442,10 +395,143 @@ impl ServeMetrics {
     }
 }
 
+fn int(v: u64) -> Json {
+    Json::Int(v as i128)
+}
+
+/// A dump member: one counter summed across shards.
+fn sum(
+    shards: &[ServeMetrics],
+    name: &str,
+    c: impl Fn(&ServeMetrics) -> &Counter,
+) -> (String, Json) {
+    (name.into(), int(shards.iter().map(|m| c(m).get()).sum()))
+}
+
+/// A dump member: one gauge's max across shards, as an integer.
+fn max(shards: &[ServeMetrics], name: &str, g: impl Fn(&ServeMetrics) -> &Gauge) -> (String, Json) {
+    let v = shards
+        .iter()
+        .map(|m| g(m).get())
+        .fold(f64::NEG_INFINITY, f64::max);
+    (name.into(), Json::Int(v as i128))
+}
+
+/// A dump member: one histogram merged bucket-wise across shards.
+fn merged(
+    shards: &[ServeMetrics],
+    name: &str,
+    h: impl Fn(&ServeMetrics) -> &Histogram,
+) -> (String, Json) {
+    let mut acc = LogHistogram::default();
+    for m in shards {
+        acc.merge(&h(m).snapshot());
+    }
+    (name.into(), acc.to_json())
+}
+
+/// The scheduler/admission section: per-lane predicts, sheds (plus the
+/// aggregate `shed_total`), and SLO violations, always in lane-priority
+/// order so scripted consumers can grep deterministic field order.
+fn admission_to_json(shards: &[ServeMetrics]) -> Json {
+    let per_lane = |counters: fn(&ServeMetrics) -> &[Counter; 3]| {
+        let lanes = LANES.iter().enumerate();
+        Json::Obj(
+            lanes
+                .map(|(k, l)| sum(shards, l.as_str(), |m| &counters(m)[k]))
+                .collect(),
+        )
+    };
+    let shed_total = shards
+        .iter()
+        .flat_map(|m| &m.shed_total)
+        .map(|c| c.get())
+        .sum();
+    Json::Obj(vec![
+        ("lane_predicts".into(), per_lane(|m| &m.lane_predicts_total)),
+        ("shed".into(), per_lane(|m| &m.shed_total)),
+        ("shed_total".into(), int(shed_total)),
+        (
+            "slo_violations".into(),
+            per_lane(|m| &m.slo_violations_total),
+        ),
+    ])
+}
+
+/// Drift-monitor totals, pooled across shards: the one computation behind
+/// the dump's `drift` section and
+/// [`ShardSet::merged_drift`](crate::ShardSet::merged_drift). Every joined
+/// pair weighs the same, so the pooled MAE is `Σ abs_err_sum / Σ joined`;
+/// only the f64 summation order differs from a single engine's.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DriftTotals {
+    /// Predictions joined against a realized queue time.
+    pub joined: u64,
+    /// Sum of absolute errors in minutes (join order within a shard).
+    pub abs_err_sum: f64,
+    /// Joined predictions within 2x of the realized queue time.
+    pub within: u64,
+    /// Predictions still awaiting their realized outcome.
+    pub pending: u64,
+    /// Class confusion counts, [`CONFUSION_CELLS`] order.
+    pub confusion: [u64; 4],
+}
+
+impl DriftTotals {
+    /// Accumulates another shard's totals.
+    pub fn add(&mut self, other: &DriftTotals) {
+        self.joined += other.joined;
+        self.abs_err_sum += other.abs_err_sum;
+        self.within += other.within;
+        self.pending += other.pending;
+        for (acc, v) in self.confusion.iter_mut().zip(&other.confusion) {
+            *acc += v;
+        }
+    }
+
+    /// Mean absolute error in minutes (0 before any join).
+    pub fn mae_min(&self) -> f64 {
+        if self.joined == 0 {
+            0.0
+        } else {
+            self.abs_err_sum / self.joined as f64
+        }
+    }
+
+    /// Fraction of joined predictions within 2x (the paper's
+    /// within-100 %-error accuracy; 0 before any join).
+    pub fn within_2x(&self) -> f64 {
+        if self.joined == 0 {
+            0.0
+        } else {
+            self.within as f64 / self.joined as f64
+        }
+    }
+
+    /// The drift section of the metrics dump.
+    pub fn to_json(&self) -> Json {
+        let confusion: Vec<(String, Json)> = CONFUSION_CELLS
+            .iter()
+            .zip(&self.confusion)
+            .map(|(name, &c)| (name.to_string(), int(c)))
+            .collect();
+        Json::Obj(vec![
+            ("joined".into(), int(self.joined)),
+            ("mae_min".into(), Json::Num(self.mae_min())),
+            ("within_2x".into(), Json::Num(self.within_2x())),
+            // Before `confusion`: scripted consumers anchor their drift grep
+            // on the confusion object closing the section, and `pending` is
+            // recovery-deterministic state so it joins the compared span.
+            ("pending".into(), int(self.pending)),
+            ("confusion".into(), Json::Obj(confusion)),
+        ])
+    }
+}
+
 /// The `burn` JSON section: the anchor second plus per-lane good /
 /// violating counts and the derived burn rate for both windows, in lane
 /// priority order.
-pub fn burn_snapshot_to_json(snap: &BurnSnapshot) -> Json {
+fn burn_snapshot_to_json(snap: &BurnSnapshot) -> Json {
     let window = |lanes: &[trout_obs::LaneWindow; 3]| {
         Json::Obj(
             LANES
@@ -475,12 +561,52 @@ pub fn burn_snapshot_to_json(snap: &BurnSnapshot) -> Json {
 mod tests {
     use super::*;
 
+    fn dump(m: &ServeMetrics) -> Json {
+        ServeMetrics::to_json(std::slice::from_ref(m), &DriftTotals::default())
+    }
+
+    #[test]
+    fn shard_dump_sums_counters_merges_histograms_and_maxes_gauges() {
+        let shards = [ServeMetrics::new(), ServeMetrics::new()];
+        for m in &shards {
+            m.state_events_total.add(5); // replicated: every shard applied it
+        }
+        shards[0].predicts_total.add(2);
+        shards[1].predicts_total.add(3);
+        shards[0].predict_us.record(10);
+        shards[1].predict_us.record(4000);
+        shards[0].replication_lag_events.set(2.0);
+        shards[1].replication_lag_events.set(7.0);
+        shards[1].compactions_total.inc();
+        shards[1].record_shed(trout_core::Lane::Batch);
+        let drift = DriftTotals {
+            joined: 4,
+            abs_err_sum: 6.0,
+            ..Default::default()
+        };
+        let j = ServeMetrics::to_json(&shards, &drift);
+        let counters = j.get("counters").unwrap();
+        assert_eq!(counters.get("predicts"), Some(&Json::Int(5)));
+        assert_eq!(counters.get("state_events"), Some(&Json::Int(5)));
+        assert_eq!(counters.get("compactions"), Some(&Json::Int(1)));
+        let hist = j.get("predict_us").unwrap();
+        assert_eq!(hist.get("count"), Some(&Json::Int(2)));
+        assert_eq!(hist.get("max"), Some(&Json::Int(4000)));
+        let repl = j.get("replication").unwrap();
+        assert_eq!(repl.get("lag_events"), Some(&Json::Int(7)));
+        let adm = j.get("admission").unwrap();
+        assert_eq!(adm.get("shed_total"), Some(&Json::Int(1)));
+        let d = j.get("drift").unwrap();
+        assert_eq!(d.get("mae_min"), Some(&Json::Num(1.5)));
+        assert!(j.get("spans").is_some());
+    }
+
     #[test]
     fn registry_serializes_every_section() {
         let m = ServeMetrics::new();
         m.predicts_total.add(7);
         m.predict_us.record(123);
-        let j = m.to_json();
+        let j = dump(&m);
         assert_eq!(
             j.get("counters").and_then(|c| c.get("predicts")),
             Some(&Json::Int(7))
@@ -500,7 +626,7 @@ mod tests {
         m.record_poisoned();
         m.record_error(&TroutError::ReadOnly("follower".into()));
         assert_eq!(m.errors_total.get(), 6, "aggregate stays");
-        let j = m.to_json();
+        let j = dump(&m);
         let by = j.get("errors_by_class").unwrap();
         assert_eq!(by.get("parse"), Some(&Json::Int(2)));
         assert_eq!(by.get("protocol"), Some(&Json::Int(1)));
@@ -532,7 +658,7 @@ mod tests {
         m.record_shed(trout_core::Lane::Normal);
         m.lane_predicts_total[0].inc();
         m.slo_violations_total[2].inc();
-        let j = m.to_json();
+        let j = dump(&m);
         let adm = j.get("admission").expect("admission section");
         assert_eq!(
             adm.get("shed").and_then(|s| s.get("batch")),

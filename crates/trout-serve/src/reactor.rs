@@ -321,7 +321,7 @@ pub fn run_reactor(
     } else {
         cfg.batch_max
     };
-    let metrics = shards.metrics0();
+    let metrics = shards.transport_metrics();
     let live = Arc::new(AtomicU64::new(0));
 
     let mailboxes: Vec<Arc<Mailbox>> = (0..threads)
@@ -337,10 +337,9 @@ pub fn run_reactor(
     for mailbox in &mailboxes {
         let mailbox = Arc::clone(mailbox);
         let shards = Arc::clone(&shards);
-        let metrics = metrics.clone();
         let live = Arc::clone(&live);
         workers.push(std::thread::spawn(move || {
-            reactor_thread(&shards, &mailbox, &metrics, &live, batch_max)
+            reactor_thread(&shards, &mailbox, &live, batch_max)
         }));
     }
 
@@ -351,11 +350,11 @@ pub fn run_reactor(
             let stream = match stream {
                 Ok(s) => s,
                 Err(e) => {
-                    backoff.on_error(&metrics, e)?;
+                    backoff.on_error(metrics, e)?;
                     continue;
                 }
             };
-            backoff.on_success(&metrics);
+            backoff.on_success(metrics);
             // Count the connection live before handing it off, so the
             // reactor thread's decrement can never run ahead of it.
             metrics.sessions_total.inc();
@@ -391,13 +390,8 @@ pub fn run_reactor(
 
 /// One poller thread: multiplexes its connections until told to stop *and*
 /// every connection has drained.
-fn reactor_thread(
-    shards: &ShardSet,
-    mailbox: &Mailbox,
-    metrics: &ServeMetrics,
-    live: &AtomicU64,
-    batch_max: usize,
-) {
+fn reactor_thread(shards: &ShardSet, mailbox: &Mailbox, live: &AtomicU64, batch_max: usize) {
+    let metrics = shards.transport_metrics();
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     loop {

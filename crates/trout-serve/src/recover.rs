@@ -27,11 +27,9 @@
 use std::path::Path;
 
 use trout_core::TroutError;
-use trout_std::fsio::read_complete_lines;
-use trout_std::json::{FromJson, Json};
 
 use crate::engine::ServeEngine;
-use crate::journal::{parse_base_line, JOURNAL_FILE, SNAPSHOT_FILE};
+use crate::journal::{parse_snapshot, JournalFile, JOURNAL_FILE, SNAPSHOT_FILE};
 use crate::protocol::{parse_event, ClientEvent};
 
 /// What recovery found and did — surfaced by the CLI at startup.
@@ -107,31 +105,22 @@ pub(crate) fn replay_journal(
 
     let snapshot_path = dir.join(SNAPSHOT_FILE);
     if snapshot_path.exists() {
-        let text = std::fs::read_to_string(&snapshot_path)?;
-        let snap = Json::parse(&text)?;
-        report.snapshot_journal_pos =
-            u64::from_json_field(snap.get("journal_pos"), "snapshot.journal_pos")?;
-        let state = snap
-            .get("state")
-            .ok_or_else(|| TroutError::Config("snapshot.json has no `state` payload".into()))?;
-        engine.restore_state(state)?;
+        let (pos, state) = parse_snapshot(&std::fs::read_to_string(&snapshot_path)?)?;
+        report.snapshot_journal_pos = pos;
+        engine.restore_state(&state)?;
         report.snapshot_loaded = true;
     }
 
-    let journal_path = dir.join(JOURNAL_FILE);
-    if !journal_path.exists() {
-        return Ok(report);
-    }
-    let (mut lines, torn) = read_complete_lines(&journal_path)?;
     // A compacted journal opens with a base control line: entries before
-    // `pos` were truncated after a snapshot covered them. Positions stay
-    // absolute across compactions.
-    if let Some(base) = lines.first().and_then(|l| parse_base_line(l)) {
-        report.journal_base = base;
-        lines.remove(0);
-    }
-    report.journal_lines = report.journal_base + lines.len() as u64;
-    report.torn_bytes = torn as u64;
+    // its `pos` were truncated after a snapshot covered them. Positions
+    // stay absolute across compactions.
+    let Some(journal) = JournalFile::read(&dir.join(JOURNAL_FILE))? else {
+        return Ok(report);
+    };
+    report.journal_base = journal.base;
+    report.journal_lines = journal.watermark();
+    report.torn_bytes = journal.torn_bytes;
+    let lines = journal.entries;
     if report.snapshot_journal_pos < report.journal_base {
         return Err(TroutError::Config(format!(
             "journal is compacted to watermark {} but the snapshot only covers {} — \

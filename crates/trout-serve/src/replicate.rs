@@ -49,10 +49,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use trout_core::TroutError;
-use trout_std::fsio::read_complete_lines;
 use trout_std::json::Json;
 
-use crate::journal::{parse_base_line, JOURNAL_FILE, SNAPSHOT_FILE};
+use crate::journal::{parse_snapshot, JournalFile, JOURNAL_FILE, SNAPSHOT_FILE};
 use crate::metrics::ServeMetrics;
 use crate::recover::apply_event_line;
 use crate::shard::{shard_dir, ShardSet};
@@ -260,22 +259,11 @@ pub fn parse_repl_line(line: &str) -> Result<ReplMessage, TroutError> {
 // hello construction).
 // ---------------------------------------------------------------------------
 
-/// Reads one shard's journal file: `(base, entry lines)`. Absolute position
-/// of `entries[k]` is `base + k`. `(0, [])` when the file does not exist yet.
-fn read_journal(state_dir: &Path, shard: usize) -> std::io::Result<(u64, Vec<String>)> {
+/// Reads one shard's journal file; empty (base 0, no entries) when the
+/// file does not exist yet.
+fn read_journal(state_dir: &Path, shard: usize) -> std::io::Result<JournalFile> {
     let path = shard_dir(state_dir, shard).join(JOURNAL_FILE);
-    if !path.exists() {
-        return Ok((0, Vec::new()));
-    }
-    let (mut lines, _torn) = read_complete_lines(&path)?;
-    let base = match lines.first().and_then(|l| parse_base_line(l)) {
-        Some(b) => {
-            lines.remove(0);
-            b
-        }
-        None => 0,
-    };
-    Ok((base, lines))
+    Ok(JournalFile::read(&path)?.unwrap_or_default())
 }
 
 /// Reads one shard's snapshot file: `(journal_pos, state)`.
@@ -288,13 +276,7 @@ fn read_snapshot(state_dir: &Path, shard: usize) -> Result<(u64, Json), TroutErr
             path.display()
         ))
     })?;
-    let snap = Json::parse(&text)?;
-    let pos = get_u64(&snap, "journal_pos")?;
-    let state = snap
-        .get("state")
-        .cloned()
-        .ok_or_else(|| TroutError::Config("replication: snapshot has no `state`".into()))?;
-    Ok((pos, state))
+    parse_snapshot(&text)
 }
 
 /// The per-shard hello payload read from a state dir: absolute watermarks
@@ -306,9 +288,9 @@ pub fn local_journal_tails(
     let mut watermarks = Vec::with_capacity(n_shards);
     let mut tails = Vec::with_capacity(n_shards);
     for i in 0..n_shards {
-        let (base, lines) = read_journal(state_dir, i)?;
-        watermarks.push(base + lines.len() as u64);
-        tails.push(lines.last().cloned().unwrap_or_default());
+        let journal = read_journal(state_dir, i)?;
+        watermarks.push(journal.watermark());
+        tails.push(journal.entries.last().cloned().unwrap_or_default());
     }
     Ok((watermarks, tails))
 }
@@ -449,9 +431,10 @@ fn stream_to_follower(
     // different lineage (another leader, or writes taken after a promote) —
     // streaming onto it would corrupt it, so refuse.
     for i in 0..n {
-        let (base, lines) = read_journal(state_dir, i)?;
+        let journal = read_journal(state_dir, i)?;
+        let (base, lines) = (journal.base, &journal.entries);
         let w = watermarks[i];
-        let leader_w = base + lines.len() as u64;
+        let leader_w = journal.watermark();
         let mismatch = if w > leader_w {
             Some(format!(
                 "shard {i}: follower watermark {w} is ahead of leader watermark {leader_w}"
@@ -487,8 +470,9 @@ fn stream_to_follower(
         }
         let mut idle = true;
         for i in 0..n {
-            let (base, lines) = read_journal(state_dir, i)?;
-            let leader_w = base + lines.len() as u64;
+            let journal = read_journal(state_dir, i)?;
+            let (base, lines) = (journal.base, &journal.entries);
+            let leader_w = journal.watermark();
             if cursors[i] < base {
                 // The entries the follower needs were compacted away:
                 // catch it up from the snapshot that covered them.

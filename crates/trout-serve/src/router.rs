@@ -229,7 +229,7 @@ impl RouterSession {
         line: &str,
         out: &mut Vec<u8>,
     ) -> Result<Flow, TroutError> {
-        shards.metrics0().requests_total.inc();
+        shards.transport_metrics().requests_total.inc();
         // Accept instant: anchors the parse stage of a traced request.
         let accept_us = shards.clock().now_micros();
         match parse_event(line) {
@@ -248,7 +248,7 @@ impl RouterSession {
                         // Shed: resolved now, answered at flush so the
                         // one-response-per-line order holds. Sheds do not
                         // count toward the batch cap (no work queued).
-                        shards.metrics0().record_shed(lane);
+                        shards.transport_metrics().record_shed(lane);
                         if !self.shed_dumped {
                             self.shed_dumped = true;
                             shards.flight_dump("shed", FLIGHT_DUMP_LAST);
@@ -339,7 +339,7 @@ impl RouterSession {
                          leader (or promote this follower)"
                             .into(),
                     );
-                    shards.metrics0().record_error(&e);
+                    shards.transport_metrics().record_error(&e);
                     writeln!(out, "{}", error_response(&e))?;
                     return Ok(Flow::Continue);
                 }
@@ -347,14 +347,14 @@ impl RouterSession {
                 match response {
                     Ok(r) => writeln!(out, "{r}")?,
                     Err(e) => {
-                        shards.metrics0().record_error(&e);
+                        shards.transport_metrics().record_error(&e);
                         writeln!(out, "{}", error_response(&e))?;
                     }
                 }
             }
             Err(e) => {
                 self.flush(shards, out)?;
-                shards.metrics0().record_error(&e);
+                shards.transport_metrics().record_error(&e);
                 if matches!(e, TroutError::Protocol(_)) && !self.protocol_dumped {
                     self.protocol_dumped = true;
                     shards.flight_dump("protocol_error", FLIGHT_DUMP_LAST);
@@ -486,7 +486,7 @@ impl RouterSession {
                     let e = TroutError::Model(format!(
                         "internal: no shard answered window position {pos}"
                     ));
-                    shards.metrics0().record_error(&e);
+                    shards.transport_metrics().record_error(&e);
                     writeln!(out, "{}", error_response(&e))?;
                 }
             }

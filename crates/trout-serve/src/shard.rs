@@ -30,6 +30,13 @@
 //! order-sensitive f64 sum, so the merged form omits it and
 //! [`ShardSet::merged_drift`] exposes it for tolerance-based comparison).
 //!
+//! **Metrics.** The set clones every shard's [`ServeMetrics`] handle set at
+//! construction. Transports record request- and connection-level totals
+//! through [`ShardSet::transport_metrics`] (shard 0's handles, no lock), and
+//! [`ShardSet::metrics_json`] / [`ShardSet::metrics_prometheus`] dump every
+//! shard count through one path ([`ServeMetrics::to_json`] aggregates as it
+//! writes; only the pooled drift section locks the engines).
+//!
 //! Per-shard durability composes with this untouched: each shard journals
 //! the events *it* applied in *its* order, so `--recover` replays every
 //! shard independently and each recovered shard is bit-identical to its
@@ -40,14 +47,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use trout_core::online::OnlineConfig;
-use trout_core::{TroutConfig, TroutError, LANES};
-use trout_obs::trace::{BurnSnapshot, TraceSink};
+use trout_core::{TroutConfig, TroutError};
+use trout_obs::trace::TraceSink;
 use trout_slurmsim::{SimulationBuilder, Trace};
 use trout_std::clock::{Clock, MonotonicClock};
 use trout_std::json::Json;
 
 use crate::engine::{ServeConfig, ServeEngine};
-use crate::metrics::{burn_snapshot_to_json, ServeMetrics, CONFUSION_CELLS, ERROR_CLASSES};
+use crate::metrics::{DriftTotals, ServeMetrics};
 use crate::recover::RecoveryReport;
 use crate::scheduler::{AdmissionControl, SchedulerConfig};
 
@@ -128,9 +135,11 @@ fn dump_flight_sink(reason: &str, shard: Option<usize>, sink: &TraceSink, last: 
 /// connection's.
 pub struct ShardSet {
     shards: Vec<Mutex<ServeEngine>>,
-    /// Each shard's trace sink, cloned out of its engine at construction so
-    /// sessions record and dump traces without touching the engine mutexes.
-    sinks: Vec<TraceSink>,
+    /// Each shard's metric handle set, cloned out of its engine at
+    /// construction (clones share the registry), so sessions record
+    /// transport totals and traces, and dumps read every registry, without
+    /// touching the engine mutexes.
+    metrics: Vec<ServeMetrics>,
     clock: Arc<dyn Clock>,
     scheduler: SchedulerConfig,
     admission: AdmissionControl,
@@ -149,10 +158,10 @@ impl ShardSet {
     /// that; hand-rolled sets are on the caller).
     pub fn new(engines: Vec<ServeEngine>) -> ShardSet {
         assert!(!engines.is_empty(), "a shard set needs at least one engine");
-        let sinks = engines.iter().map(|e| e.metrics.trace.clone()).collect();
+        let metrics = engines.iter().map(|e| e.metrics.clone()).collect();
         ShardSet {
             shards: engines.into_iter().map(Mutex::new).collect(),
-            sinks,
+            metrics,
             clock: Arc::new(MonotonicClock::new()),
             scheduler: SchedulerConfig::default(),
             admission: AdmissionControl::new(),
@@ -267,23 +276,23 @@ impl ShardSet {
 
     /// Shard `i`'s trace sink — lock-free access for the session hot path.
     pub fn trace_sink(&self, i: usize) -> &TraceSink {
-        &self.sinks[i]
+        &self.metrics[i].trace
     }
 
     /// Dumps every shard's flight recorder (last `last` completed traces)
     /// to stderr as ndjson, tagged with `reason`. No engine lock is taken.
     pub fn flight_dump(&self, reason: &str, last: usize) {
-        for (i, sink) in self.sinks.iter().enumerate() {
-            dump_flight_sink(reason, Some(i), sink, last);
+        for (i, m) in self.metrics.iter().enumerate() {
+            dump_flight_sink(reason, Some(i), &m.trace, last);
         }
     }
 
-    /// Shard 0's metrics handles (cloned — they share the registry). The
-    /// transports account connection- and listener-level events here:
-    /// per-shard registries stay meaningful (a shard's counters describe
-    /// that shard's work) while transport totals live in one place.
-    pub fn metrics0(&self) -> ServeMetrics {
-        self.lock(0).metrics.clone()
+    /// Where the transports account request-, connection- and
+    /// listener-level events: shard 0's handle set, lock-free. Per-shard
+    /// registries stay meaningful (a shard's counters describe that shard's
+    /// work) while transport totals live in one place.
+    pub fn transport_metrics(&self) -> &ServeMetrics {
+        &self.metrics[0]
     }
 
     /// Arms durability for every shard against `dir/shard-NNN/`, returning
@@ -424,227 +433,43 @@ impl ShardSet {
     /// equivalence test compares the MAE within a tiny tolerance instead of
     /// bitwise.
     pub fn merged_drift(&self) -> (u64, f64, f64) {
-        let mut joined = 0u64;
-        let mut err_sum = 0.0f64;
+        let d = self.pooled_drift();
+        (d.joined, d.abs_err_sum, d.mae_min())
+    }
+
+    /// Every shard's drift-monitor totals, pooled (locks each shard in turn).
+    fn pooled_drift(&self) -> DriftTotals {
+        let mut pool = DriftTotals::default();
         for i in 0..self.shards.len() {
-            let g = self.lock(i);
-            joined += g.drift().joined();
-            err_sum += g.drift().abs_err_sum();
+            pool.add(&self.lock(i).drift().totals());
         }
-        let mae = if joined == 0 {
-            0.0
-        } else {
-            err_sum / joined as f64
-        };
-        (joined, err_sum, mae)
+        pool
     }
 
-    /// The `metrics` response payload. A 1-shard set delegates to the
-    /// engine's own dump (byte-compatible with the pre-sharding daemon); an
-    /// N-shard set merges: counters sum (except replica counts — `requests`
-    /// and `sessions` are accounted on shard 0 only, and `state_events`
-    /// reports shard 0's logical event count, not N× it), error classes sum,
-    /// latency histograms merge bucket-wise, and drift joins pool across
-    /// shards.
+    /// The `metrics` response payload, one layout at any shard count (see
+    /// [`ServeMetrics::to_json`] for the aggregation rules). Only the drift
+    /// section locks the engines; the registries are read lock-free.
     pub fn metrics_json(&self) -> Json {
-        if self.shards.len() == 1 {
-            return self.lock(0).metrics_json();
-        }
-        let m = self.merge_metrics();
-        m.to_json()
+        ServeMetrics::to_json(&self.metrics, &self.pooled_drift())
     }
 
-    /// Prometheus exposition. A 1-shard set is byte-compatible with the
-    /// pre-sharding daemon; an N-shard set exposes each shard's registry
-    /// with a `shardNNN` infix (`trout_serve_shard000_predicts_total …`) so
-    /// operators see per-shard series — skew between shards *is* the signal
-    /// sharding introduces — followed by the process-wide span histograms
-    /// once.
+    /// Prometheus exposition: each shard's registry, then the process-wide
+    /// span histograms once. A 1-shard set keeps the plain names; an
+    /// N-shard set infixes `shardNNN` (`trout_serve_shard000_predicts_total
+    /// …`) so operators see per-shard series — skew between shards *is* the
+    /// signal sharding introduces. No engine lock is taken.
     pub fn metrics_prometheus(&self) -> String {
-        if self.shards.len() == 1 {
-            return self.lock(0).metrics_prometheus();
-        }
         let mut text = String::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let one = lock_engine(shard).metrics.to_prometheus();
-            text.push_str(&one.replace("trout_serve_", &format!("trout_serve_shard{i:03}_")));
+        for (i, m) in self.metrics.iter().enumerate() {
+            let one = m.to_prometheus();
+            if self.metrics.len() == 1 {
+                text.push_str(&one);
+            } else {
+                text.push_str(&one.replace("trout_serve_", &format!("trout_serve_shard{i:03}_")));
+            }
         }
         text.push_str(&trout_obs::global().to_prometheus());
         text
-    }
-
-    /// Pools every shard's registry into one merged snapshot (counter sums,
-    /// histogram bucket merges, pooled drift) for the JSON dump.
-    fn merge_metrics(&self) -> MergedMetrics {
-        let mut m = MergedMetrics::default();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let g = lock_engine(shard);
-            let mm = &g.metrics;
-            if i == 0 {
-                m.requests = mm.requests_total.get();
-                m.sessions = mm.sessions_total.get();
-                m.state_events = mm.state_events_total.get();
-            }
-            m.predicts += mm.predicts_total.get();
-            m.batches += mm.batches_total.get();
-            m.refits += mm.refits_total.get();
-            m.errors += mm.errors_total.get();
-            m.journal_appends += mm.journal_appends_total.get();
-            m.snapshots += mm.snapshots_total.get();
-            m.recovery_replayed += mm.recovery_replayed_events.get();
-            for (acc, c) in m.errors_by_class.iter_mut().zip(&mm.errors_by_class) {
-                *acc += c.get();
-            }
-            for (acc, c) in m.lane_predicts.iter_mut().zip(&mm.lane_predicts_total) {
-                *acc += c.get();
-            }
-            for (acc, c) in m.shed.iter_mut().zip(&mm.shed_total) {
-                *acc += c.get();
-            }
-            for (acc, c) in m.slo_violations.iter_mut().zip(&mm.slo_violations_total) {
-                *acc += c.get();
-            }
-            m.queue_wait_us.merge(&mm.queue_wait_us.snapshot());
-            m.featurize_us.merge(&mm.featurize_us.snapshot());
-            m.inference_us.merge(&mm.inference_us.snapshot());
-            m.predict_us.merge(&mm.predict_us.snapshot());
-            m.batch_us.merge(&mm.batch_us.snapshot());
-            m.batch_size.merge(&mm.batch_size.snapshot());
-            m.snapshot_write_us.merge(&mm.snapshot_write_us.snapshot());
-            m.burn.merge(&mm.refresh_burn_gauges());
-            let d = g.drift();
-            m.joined += d.joined();
-            m.abs_err_sum += d.abs_err_sum();
-            m.within += d.within_count();
-            m.pending += d.pending() as u64;
-            for (acc, v) in m.confusion.iter_mut().zip(d.confusion()) {
-                *acc += v;
-            }
-        }
-        m
-    }
-}
-
-/// Accumulator for the N-shard merged metrics dump.
-#[derive(Default)]
-struct MergedMetrics {
-    requests: u64,
-    predicts: u64,
-    batches: u64,
-    state_events: u64,
-    refits: u64,
-    errors: u64,
-    journal_appends: u64,
-    snapshots: u64,
-    recovery_replayed: u64,
-    sessions: u64,
-    errors_by_class: [u64; 8],
-    lane_predicts: [u64; 3],
-    shed: [u64; 3],
-    slo_violations: [u64; 3],
-    queue_wait_us: crate::metrics::LogHistogram,
-    featurize_us: crate::metrics::LogHistogram,
-    inference_us: crate::metrics::LogHistogram,
-    predict_us: crate::metrics::LogHistogram,
-    batch_us: crate::metrics::LogHistogram,
-    batch_size: crate::metrics::LogHistogram,
-    snapshot_write_us: crate::metrics::LogHistogram,
-    burn: BurnSnapshot,
-    joined: u64,
-    abs_err_sum: f64,
-    within: u64,
-    pending: u64,
-    confusion: [u64; 4],
-}
-
-impl MergedMetrics {
-    /// Same section layout as [`ServeMetrics::to_json`] +
-    /// [`DriftMonitor::to_json`](crate::engine::DriftMonitor::to_json) +
-    /// spans, so clients parse one schema regardless of shard count.
-    fn to_json(&self) -> Json {
-        let by_class: Vec<(String, Json)> = ERROR_CLASSES
-            .iter()
-            .zip(&self.errors_by_class)
-            .map(|(name, &c)| (name.to_string(), Json::Int(c as i128)))
-            .collect();
-        let confusion: Vec<(String, Json)> = CONFUSION_CELLS
-            .iter()
-            .zip(&self.confusion)
-            .map(|(name, &c)| (name.to_string(), Json::Int(c as i128)))
-            .collect();
-        let mae = if self.joined == 0 {
-            0.0
-        } else {
-            self.abs_err_sum / self.joined as f64
-        };
-        let within_2x = if self.joined == 0 {
-            0.0
-        } else {
-            self.within as f64 / self.joined as f64
-        };
-        Json::Obj(vec![
-            (
-                "counters".into(),
-                Json::Obj(vec![
-                    ("requests".into(), Json::Int(self.requests as i128)),
-                    ("predicts".into(), Json::Int(self.predicts as i128)),
-                    ("batches".into(), Json::Int(self.batches as i128)),
-                    ("state_events".into(), Json::Int(self.state_events as i128)),
-                    ("refits".into(), Json::Int(self.refits as i128)),
-                    ("errors".into(), Json::Int(self.errors as i128)),
-                    (
-                        "journal_appends".into(),
-                        Json::Int(self.journal_appends as i128),
-                    ),
-                    ("snapshots".into(), Json::Int(self.snapshots as i128)),
-                    (
-                        "recovery_replayed_events".into(),
-                        Json::Int(self.recovery_replayed as i128),
-                    ),
-                    ("sessions".into(), Json::Int(self.sessions as i128)),
-                ]),
-            ),
-            ("errors_by_class".into(), Json::Obj(by_class)),
-            ("admission".into(), {
-                let per_lane = |vals: &[u64; 3]| {
-                    Json::Obj(
-                        LANES
-                            .iter()
-                            .zip(vals)
-                            .map(|(l, &v)| (l.as_str().to_string(), Json::Int(v as i128)))
-                            .collect(),
-                    )
-                };
-                Json::Obj(vec![
-                    ("lane_predicts".into(), per_lane(&self.lane_predicts)),
-                    ("shed".into(), per_lane(&self.shed)),
-                    (
-                        "shed_total".into(),
-                        Json::Int(self.shed.iter().sum::<u64>() as i128),
-                    ),
-                    ("slo_violations".into(), per_lane(&self.slo_violations)),
-                ])
-            }),
-            ("featurize_us".into(), self.featurize_us.to_json()),
-            ("queue_wait_us".into(), self.queue_wait_us.to_json()),
-            ("inference_us".into(), self.inference_us.to_json()),
-            ("predict_us".into(), self.predict_us.to_json()),
-            ("batch_us".into(), self.batch_us.to_json()),
-            ("batch_size".into(), self.batch_size.to_json()),
-            ("snapshot_write_us".into(), self.snapshot_write_us.to_json()),
-            ("burn".into(), burn_snapshot_to_json(&self.burn)),
-            (
-                "drift".into(),
-                Json::Obj(vec![
-                    ("joined".into(), Json::Int(self.joined as i128)),
-                    ("mae_min".into(), Json::Num(mae)),
-                    ("within_2x".into(), Json::Num(within_2x)),
-                    ("pending".into(), Json::Int(self.pending as i128)),
-                    ("confusion".into(), Json::Obj(confusion)),
-                ]),
-            ),
-            ("spans".into(), trout_obs::global().histograms_json()),
-        ])
     }
 }
 

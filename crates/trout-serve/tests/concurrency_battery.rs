@@ -223,7 +223,7 @@ fn load_generator_pairs_every_connection_one_to_one() {
     });
     server.join().unwrap();
 
-    let m = shards.metrics0();
+    let m = shards.transport_metrics();
     assert_eq!(m.sessions_total.get(), CONNS as u64);
     assert_eq!(m.sessions_live.get(), 0.0, "every connection drained");
     // Every shard saw every broadcast: replicas agree on the index.

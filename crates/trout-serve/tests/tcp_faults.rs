@@ -376,7 +376,7 @@ fn slow_loris_reader_is_backpressured_without_starving_others() {
     drop(loris);
     server.join().unwrap();
 
-    let m = shared.metrics0();
+    let m = shared.transport_metrics();
     assert!(
         m.reactor_backpressure_total.get() >= 1,
         "the write backlog crossed the high-water mark at least once"
