@@ -371,8 +371,15 @@ test -s "$bat_tmp/state-t1.json"
 cmp "$bat_tmp/state-t1.json" "$bat_tmp/state-t4.json"
 rm -rf "$bat_tmp"
 
-# One-iteration pass over the serve bench (no calibration, no report).
-TROUT_BENCH_SMOKE=1 cargo bench --offline -p trout-bench --bench serve_bench
+# Serve bench ratio gate: a full-size backlog sweep (repeated trials, report
+# written to a temp dir) must show both fast featurization modes at >= 3x the
+# O(n) scan's median predict throughput at a 4,096-job backlog; the bench
+# asserts it and exits non-zero otherwise. A ratio of two medians measured
+# side by side holds up on a shared host where absolute rates do not.
+bench_tmp=$(mktemp -d)
+TROUT_BENCH_OUT="$bench_tmp" cargo bench --offline -p trout-bench --bench serve_bench
+test -s "$bench_tmp/BENCH_serve.json"
+rm -rf "$bench_tmp"
 
 # And the crash-recovery bench (journal appends, snapshot writes, replay,
 # replication catch-up).

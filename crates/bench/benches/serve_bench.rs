@@ -1,8 +1,9 @@
-//! Bench harness: the online prediction service end to end.
+//! Bench harness: the serve predict path in process.
 //!
-//! Replays a live event stream through the daemon's session loop and
-//! reports sustained predictions/sec plus the per-stage latency and
-//! batch-size histograms in `BENCH_serve.json`.
+//! Sweeps predict throughput against queue depth (scan vs fast vs fast_f32
+//! featurization, median and quartiles over repeated trials) into
+//! `BENCH_serve.json`, then times `predict_batch` at three batch sizes.
+//! The serve stack over TCP is measured by `perfbench/`.
 //!
 //! Bodies live in `trout_bench::serve_bench` so the `bench_smoke` test can
 //! run them for one iteration under `cargo test`.

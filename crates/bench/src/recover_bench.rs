@@ -6,9 +6,9 @@
 //! 1. **Journal overhead** — criterion-timed single appends with and
 //!    without an fsync per record (the `--fsync-every 1` durable-before-ack
 //!    policy vs. relying on the OS page cache).
-//! 2. **Recovery latency** — one-shot wall-clock measurements of
+//! 2. **Recovery latency** — repeated-trial wall-clock measurements of
 //!    journal-only recovery (full replay) vs. snapshot + tail replay over
-//!    the same served history, with replayed-event counts and events/sec.
+//!    the same served history, with replayed-event counts.
 //! 3. **Snapshot cost** — criterion-timed `write_snapshot` on the loaded
 //!    engine, plus the snapshot's on-disk size.
 //! 4. **Replication catch-up** — one-shot wall-clock for a fresh follower
@@ -16,7 +16,7 @@
 //!    watermark: the time a replacement hot standby takes to re-arm.
 
 use std::net::TcpListener;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,31 +28,7 @@ use trout_slurmsim::SimulationBuilder;
 use trout_std::bench::{write_report, Criterion};
 use trout_std::json::Json;
 
-/// What the recorded times depend on besides the code: core count, SIMD
-/// tier, the `TROUT_THREADS` setting and the compiler.
-fn host_stamp() -> Json {
-    let nproc = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let rustc = std::process::Command::new("rustc")
-        .arg("--version")
-        .output()
-        .ok()
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into());
-    Json::Obj(vec![
-        ("nproc".into(), Json::Int(nproc as i128)),
-        (
-            "simd_tier".into(),
-            Json::Str(trout_linalg::SimdTier::active().name().into()),
-        ),
-        (
-            "trout_threads".into(),
-            Json::Str(std::env::var("TROUT_THREADS").unwrap_or_else(|_| "unset".into())),
-        ),
-        ("rustc".into(), Json::Str(rustc)),
-    ])
-}
+use crate::{host_stamp, run_trials, trial_count};
 
 fn bench_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -70,7 +46,7 @@ fn fresh_engine(cfg: &ServeConfig, boot_jobs: usize) -> ServeEngine {
 /// Serves `script` on a fresh engine journaling into `dir`, then drops the
 /// engine with no clean shutdown — the crashed run every recovery below
 /// resumes from.
-fn crashed_run(cfg: &ServeConfig, boot_jobs: usize, dir: &PathBuf, every: u64, script: &str) {
+fn crashed_run(cfg: &ServeConfig, boot_jobs: usize, dir: &Path, every: u64, script: &str) {
     let mut e = fresh_engine(cfg, boot_jobs);
     // fsync once at snapshot/sync points only: the setup phase measures
     // nothing, so skip the per-append fsync tax (appends are timed
@@ -82,35 +58,41 @@ fn crashed_run(cfg: &ServeConfig, boot_jobs: usize, dir: &PathBuf, every: u64, s
     run_session(&m, script.as_bytes(), &mut sink, 64).expect("bench session");
 }
 
-/// One-shot recovery measurement: bootstrap + recover, reported separately
-/// (bootstrap cost is identical either way; replay is what recovery adds).
-fn timed_recovery(
+/// Recovery from each of `dirs` (state dir, snapshot cadence), timed over
+/// `k` trials with the recoveries alternating. Each trial bootstraps a
+/// fresh engine off the clock (bootstrap cost is identical either way;
+/// replay is what recovery adds). Returns each dir's report and the engine
+/// its last trial recovered.
+fn timed_recoveries(
     cfg: &ServeConfig,
     boot_jobs: usize,
-    dir: &PathBuf,
-    every: u64,
-) -> (ServeEngine, Json) {
-    let t0 = Instant::now();
-    let mut e = fresh_engine(cfg, boot_jobs);
-    let bootstrap_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let report = e.open_state_dir(dir, every, true).expect("recover");
-    let replay_s = t1.elapsed().as_secs_f64();
-    let j = Json::Obj(vec![
-        ("snapshot_loaded".into(), Json::Bool(report.snapshot_loaded)),
-        (
-            "journal_lines".into(),
-            Json::Int(report.journal_lines as i128),
-        ),
-        ("replayed".into(), Json::Int(report.replayed as i128)),
-        ("bootstrap_s".into(), Json::Num(bootstrap_s)),
-        ("replay_s".into(), Json::Num(replay_s)),
-        (
-            "replayed_per_sec".into(),
-            Json::Num(report.replayed as f64 / replay_s.max(1e-9)),
-        ),
-    ]);
-    (e, j)
+    dirs: &[(&Path, u64)],
+    k: usize,
+) -> Vec<(Json, ServeEngine)> {
+    run_trials(
+        k,
+        dirs.len(),
+        |_| fresh_engine(cfg, boot_jobs),
+        |arm, mut e| {
+            let (dir, every) = dirs[arm];
+            let report = e.open_state_dir(dir, every, true).expect("recover");
+            (report, e)
+        },
+    )
+    .into_iter()
+    .map(|(replay_s, (report, e))| {
+        let j = Json::Obj(vec![
+            ("snapshot_loaded".into(), Json::Bool(report.snapshot_loaded)),
+            (
+                "journal_lines".into(),
+                Json::Int(report.journal_lines as i128),
+            ),
+            ("replayed".into(), Json::Int(report.replayed as i128)),
+            ("replay_s".into(), replay_s.to_json()),
+        ]);
+        (j, e)
+    })
+    .collect()
 }
 
 /// One-shot replication catch-up measurement: a leader serves `script`
@@ -210,8 +192,18 @@ pub fn bench_recover(c: &mut Criterion) {
     crashed_run(&cfg, boot_jobs, &dir_snap, snapshot_every, &script);
     crashed_run(&cfg, boot_jobs, &dir_journal, 0, &script);
 
-    let (_e1, journal_only) = timed_recovery(&cfg, boot_jobs, &dir_journal, 0);
-    let (mut engine, snapshot_tail) = timed_recovery(&cfg, boot_jobs, &dir_snap, snapshot_every);
+    let k = trial_count(smoke);
+    let bootstrap_s = run_trials(k, 1, |_| (), |_, ()| fresh_engine(&cfg, boot_jobs))
+        .remove(0)
+        .0;
+    let mut recovered = timed_recoveries(
+        &cfg,
+        boot_jobs,
+        &[(&dir_journal, 0), (&dir_snap, snapshot_every)],
+        k,
+    );
+    let (snapshot_tail, mut engine) = recovered.pop().expect("snapshot+tail recovery");
+    let (journal_only, _) = recovered.pop().expect("journal-only recovery");
     let snapshot_bytes = std::fs::metadata(dir_snap.join(SNAPSHOT_FILE))
         .map(|m| m.len())
         .unwrap_or(0);
@@ -255,6 +247,7 @@ pub fn bench_recover(c: &mut Criterion) {
                     ("snapshot_bytes".into(), Json::Int(snapshot_bytes as i128)),
                 ]),
             ),
+            ("bootstrap_s".into(), bootstrap_s.to_json()),
             ("journal_only".into(), journal_only),
             ("snapshot_tail".into(), snapshot_tail),
             ("replication".into(), replication),

@@ -5,8 +5,8 @@
 //! * `bench_train_epochs` times full `Mlp::train` runs on a fixed synthetic
 //!   design matrix and reports **epoch throughput in rows/sec** — the number
 //!   the workspace refactor is accountable to. Outside smoke mode it writes
-//!   `BENCH_train.json` with the rows/sec per configuration so pre/post
-//!   baselines can be diffed directly.
+//!   `BENCH_train.json` with the median, quartiles and raw samples of
+//!   rows/sec per configuration, plus the host stamp.
 //! * `bench_matmul_kernels` times the three matmul kernels (`a@b`, `a@b^T`,
 //!   `a^T@b`) at MLP-shaped sizes, below and above the parallel threshold.
 //!
@@ -16,8 +16,10 @@
 
 use trout_linalg::{Matrix, SplitMix64};
 use trout_ml::nn::{Activation, Loss, Mlp, MlpConfig};
-use trout_std::bench::{black_box, write_report, BenchmarkId, Criterion};
+use trout_std::bench::{write_report, BenchmarkId, Criterion};
 use trout_std::json::Json;
+
+use crate::{host_stamp, run_trials, trial_count};
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = SplitMix64::new(seed);
@@ -85,25 +87,28 @@ pub fn bench_train_epochs(c: &mut Criterion) {
         cfg.batch_size = 256;
         cfg.seed = 3;
 
-        // Hand-timed rows/sec for the report: the mean over a few full
-        // train runs, each `epochs` passes over `rows` rows.
-        let timing_runs = if smoke { 1 } else { 3 };
-        let t0 = std::time::Instant::now();
-        for _ in 0..timing_runs {
-            black_box(Mlp::train(&cfg, &x, &y));
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let rows_per_sec = (timing_runs * case.epochs * rows) as f64 / elapsed.max(1e-9);
+        // Rows/sec for the report over repeated full train runs, each
+        // `epochs` passes over `rows` rows.
+        let (train_s, _) = run_trials(
+            trial_count(smoke),
+            1,
+            |_| (),
+            |_, ()| Mlp::train(&cfg, &x, &y),
+        )
+        .remove(0);
+        let rows_per_sec = train_s.per_sec((case.epochs * rows) as f64);
         eprintln!(
-            "bench train/{}: {rows_per_sec:.0} rows/sec ({} epochs x {rows} rows)",
-            case.name, case.epochs
+            "bench train/{}: median {:.0} rows/sec ({} epochs x {rows} rows)",
+            case.name,
+            rows_per_sec.median(),
+            case.epochs
         );
         results.push((
             case.name.to_string(),
             Json::Obj(vec![
                 ("rows".into(), Json::Int(rows as i128)),
                 ("epochs".into(), Json::Int(case.epochs as i128)),
-                ("rows_per_sec".into(), Json::Num(rows_per_sec)),
+                ("rows_per_sec".into(), rows_per_sec.to_json()),
             ]),
         ));
 
@@ -116,6 +121,7 @@ pub fn bench_train_epochs(c: &mut Criterion) {
     if !smoke {
         let report = Json::Obj(vec![
             ("group".into(), Json::Str("train".into())),
+            ("host".into(), host_stamp()),
             ("throughput".into(), Json::Obj(results)),
         ]);
         write_report("train", &report);

@@ -46,7 +46,7 @@ use std::path::{Path, PathBuf};
 
 use trout_core::TroutError;
 use trout_std::fsio::{
-    append_line, atomic_write, open_append_complete, read_complete_lines, sync_dir,
+    append_line, atomic_write, open_append_complete, read_complete_lines, sync_data, sync_dir,
 };
 use trout_std::json::{FromJson, Json, ToJson};
 
@@ -254,7 +254,7 @@ impl Journal {
     /// watermark never points past the durable journal prefix).
     pub fn sync(&mut self) -> io::Result<()> {
         if self.since_sync > 0 {
-            self.file.sync_data()?;
+            sync_data(&self.file)?;
             self.since_sync = 0;
         }
         Ok(())

@@ -32,7 +32,7 @@
 //! * [`metrics`] — shared handles into a per-engine
 //!   [`trout_obs::Registry`]: counters, per-error-class breakdowns, and
 //!   log-bucketed latency histograms, dumped by the `metrics` request (JSON
-//!   or Prometheus text) and by the serve bench into `BENCH_serve.json`.
+//!   or Prometheus text).
 //! * [`engine::DriftMonitor`] — joins served predictions against realized
 //!   queue times as `start` events arrive, maintaining rolling MAE,
 //!   within-2x accuracy, and quick/long class confusion.

@@ -11,7 +11,7 @@
 //!   reopening for append (the record was never acknowledged, so dropping it
 //!   is correct), and [`read_complete_lines`] skips it on read.
 //! * **Explicit sync points** — appends go straight to the `File` (no
-//!   `BufWriter`), and callers choose when [`File::sync_data`] runs.
+//!   `BufWriter`), and callers choose when [`sync_data`] runs.
 //!
 //! Everything here is plain `std::io` so any crate in the workspace can
 //! depend on it without cycles.
@@ -89,6 +89,12 @@ pub fn open_append_complete(path: &Path) -> io::Result<(File, u64)> {
 /// file — the caller's record count is then zero, not an error.
 pub fn truncate_sync(f: &mut File, len: u64) -> io::Result<()> {
     f.set_len(len)?;
+    f.sync_data()
+}
+
+/// Flushes `f`'s data (not its metadata) to disk: the journal's
+/// durable-before-ack sync point.
+pub fn sync_data(f: &File) -> io::Result<()> {
     f.sync_data()
 }
 
